@@ -29,7 +29,7 @@
 use ks_gpu_sim::access::{
     affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
 };
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
 use ks_gpu_sim::exec::BlockCtx;
@@ -50,6 +50,7 @@ use crate::gemm_engine::{
 use crate::geometry::TileGeometry;
 use crate::layout::SmemLayout;
 use crate::machine::{FunctionalMachine, TrafficMachine, WarpMachine};
+use crate::native::{self, Drain, FusedJob};
 
 /// Words per checksum slot: one full 32-byte DRAM sector per
 /// `(column, row group)` so block-class replay deltas stay
@@ -591,6 +592,31 @@ impl Kernel for FusedKernelSummation {
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         self.body(block, &mut TrafficMachine::new(sink));
+    }
+
+    fn execute_native(&self, mem: &GlobalMem) -> bool {
+        if self.verify.is_some() {
+            return false;
+        }
+        let drain = match self.reduction {
+            Reduction::Atomic => Drain::Atomic(self.v),
+            Reduction::TwoPass { partials } => Drain::Partials(partials),
+        };
+        native::run(
+            mem,
+            &[FusedJob {
+                ops: self.ops,
+                a2: self.a2,
+                b2: self.b2,
+                w: self.w,
+                shape: self.shape,
+                geometry: self.geometry,
+                inv_2h2: self.bw.inv_2h2(),
+                r: 1,
+                drain,
+            }],
+        );
+        true
     }
 
     fn traffic_homogeneous(&self) -> bool {

@@ -23,7 +23,7 @@
 use ks_gpu_sim::access::{
     affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
 };
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
@@ -48,6 +48,7 @@ use crate::gemm_engine::{
 use crate::geometry::TileGeometry;
 use crate::layout::SmemLayout;
 use crate::machine::{FunctionalMachine, TrafficMachine, WarpMachine};
+use crate::native::{self, Drain, FusedJob};
 
 /// Maximum weight columns: the `T` scratch (which reuses an idle GEMM
 /// A-tile buffer of `block_m·tile_k` words) holds `block_m·R`
@@ -155,6 +156,21 @@ impl FusedMultiWeight {
     #[must_use]
     pub fn regs_per_thread(r: usize) -> u32 {
         TileGeometry::paper_default().regs_per_thread_multi(r)
+    }
+
+    /// This launch as a job of the block-native executor.
+    pub(crate) fn native_job(&self) -> FusedJob {
+        FusedJob {
+            ops: self.ops,
+            a2: self.a2,
+            b2: self.b2,
+            w: self.w,
+            shape: self.shape,
+            geometry: self.geometry,
+            inv_2h2: self.bw.inv_2h2(),
+            r: self.r,
+            drain: Drain::Atomic(self.v),
+        }
     }
 
     pub(crate) fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
@@ -459,6 +475,14 @@ impl Kernel for FusedMultiWeight {
 
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         self.body(block, &mut TrafficMachine::new(sink));
+    }
+
+    fn execute_native(&self, mem: &GlobalMem) -> bool {
+        if self.verify.is_some() {
+            return false;
+        }
+        native::run(mem, &[self.native_job()]);
+        true
     }
 
     fn traffic_homogeneous(&self) -> bool {

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 
 use ks_gpu_sim::access::AccessSpec;
-use ks_gpu_sim::buffer::BufId;
+use ks_gpu_sim::buffer::{BufId, GlobalMem};
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::dim::{Dim3, LaunchConfig};
@@ -61,6 +61,7 @@ use crate::fused_multi::{FusedMultiWeight, MAX_WEIGHT_COLUMNS};
 use crate::gemm_engine::{GemmOperands, GemmShape, SmemMap};
 use crate::geometry::TileGeometry;
 use crate::machine::{FunctionalMachine, TrafficMachine};
+use crate::native;
 
 /// Block-index → segment routing for a packed launch.
 ///
@@ -259,6 +260,19 @@ impl Kernel for FusedMultiPacked {
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink) {
         let (seg, local) = self.table.route(block.x);
         self.segments[seg].body(local, &mut TrafficMachine::new(sink));
+    }
+
+    fn execute_native(&self, mem: &GlobalMem) -> bool {
+        if self.verified {
+            return false;
+        }
+        let jobs: Vec<_> = self
+            .segments
+            .iter()
+            .map(FusedMultiWeight::native_job)
+            .collect();
+        native::run(mem, &jobs);
+        true
     }
 
     fn traffic_homogeneous(&self) -> bool {

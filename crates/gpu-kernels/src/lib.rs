@@ -52,6 +52,7 @@ pub mod gemm_engine;
 pub mod geometry;
 pub mod layout;
 pub mod machine;
+mod native;
 pub mod oracle;
 pub mod pipelines;
 pub mod sgemm;

@@ -172,6 +172,19 @@ impl GlobalMem {
         f32::from_bits(self.entry(id).cells()[idx].load(Ordering::Relaxed))
     }
 
+    /// Copies the `dst.len()` elements starting at `start` into `dst`:
+    /// a host staging copy of one block's operand slice, so native
+    /// execution never snapshots a whole buffer.
+    ///
+    /// # Panics
+    /// Panics on an out-of-bounds range or a virtual buffer.
+    pub fn read_range(&self, id: BufId, start: usize, dst: &mut [f32]) {
+        let cells = &self.entry(id).cells()[start..start + dst.len()];
+        for (d, cell) in dst.iter_mut().zip(cells) {
+            *d = f32::from_bits(cell.load(Ordering::Relaxed));
+        }
+    }
+
     /// Stores `v` into element `idx`.
     ///
     /// # Panics
@@ -297,6 +310,23 @@ mod tests {
         let mut m = GlobalMem::new();
         let a = m.alloc_virtual(8);
         let _ = m.load(a, 0);
+    }
+
+    #[test]
+    fn read_range_copies_a_slice() {
+        let mut m = GlobalMem::new();
+        let a = m.upload(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut dst = [0.0; 3];
+        m.read_range(a, 1, &mut dst);
+        assert_eq!(dst, [2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn read_range_past_the_end_faults() {
+        let mut m = GlobalMem::new();
+        let a = m.alloc(4);
+        m.read_range(a, 2, &mut [0.0; 3]);
     }
 
     #[test]

@@ -230,7 +230,10 @@ impl GpuDevice {
         Ok(self.finish_profile(kernel, counters, before, after))
     }
 
-    /// Runs a kernel functionally (parallel over blocks, no counters).
+    /// Runs a kernel functionally (parallel, no counters). A launch
+    /// without a fault plan first offers the kernel its block-native
+    /// path ([`Kernel::execute_native`]); everything else, and every
+    /// kernel that declines, runs on the warp interpreter.
     ///
     /// # Errors
     /// Returns a [`LaunchError`] if the launch violates device limits.
@@ -239,7 +242,11 @@ impl GpuDevice {
         let plan = self.draw_faults(kernel)?;
         let smem_words = kernel.resources().smem_bytes_per_block as usize / 4;
         match plan {
-            None => exec::run_functional(&self.mem, kernel, smem_words),
+            None => {
+                if !kernel.execute_native(&self.mem) {
+                    exec::run_functional(&self.mem, kernel, smem_words);
+                }
+            }
             Some(plan) => {
                 exec::run_functional_with_faults(&self.mem, kernel, smem_words, &plan);
                 self.fault_counters.merge(&FaultCounters {

@@ -13,6 +13,7 @@
 use rayon::prelude::*;
 
 use crate::buffer::{BufId, GlobalMem};
+use crate::dim::Dim3;
 use crate::fault::{BlockFaults, LaunchFaultPlan};
 use crate::kernel::Kernel;
 use crate::smem::flip_bit;
@@ -300,13 +301,41 @@ impl<'a, 'b> BlockCtx<'a, 'b> {
     }
 }
 
+/// Runs `f(linear, block)` over every block of `grid` in parallel,
+/// where `linear` is the block's launch-order index.
+///
+/// A 2-D (or 3-D) grid is split at whole grid rows: each work item
+/// runs one row's blocks in ascending `x`. The fused kernels' blocks
+/// of one row group (`by`) all `atomicAdd` into the same `V` rows, so
+/// this fixes their fold order to the sequential launch order at any
+/// thread count. A 1-D grid keeps one block per item. Its kernels
+/// either write disjoint outputs (norms, partial reduction) or are
+/// packed launches, whose segments' rows are not rows of the launch
+/// grid; the serve layer keeps at most two atomic contributors per
+/// packed output element, and two adds into a zeroed `V` give the
+/// same bits in either order. A 2-D grid of a single row looks like a
+/// 1-D grid here and keeps per-block items too.
+fn for_each_block(grid: Dim3, f: impl Fn(u64, Dim3) + Sync + Send) {
+    if grid.y == 1 && grid.z == 1 {
+        (0..grid.x)
+            .into_par_iter()
+            .for_each(|x| f(u64::from(x), Dim3::new(x, 0, 0)));
+        return;
+    }
+    let (gx, gy) = (u64::from(grid.x), u64::from(grid.y));
+    (0..gy * u64::from(grid.z)).into_par_iter().for_each(|row| {
+        let (y, z) = ((row % gy) as u32, (row / gy) as u32);
+        for x in 0..grid.x {
+            f(row * gx + u64::from(x), Dim3::new(x, y, z));
+        }
+    });
+}
+
 /// Runs every block of `kernel` functionally, in parallel over host
-/// threads. No counters are collected (use
-/// [`crate::device::GpuDevice::run_counted`] for that).
+/// threads (see [`for_each_block`] for the partition). No counters are
+/// collected (use [`crate::device::GpuDevice::run_counted`] for that).
 pub fn run_functional(mem: &GlobalMem, kernel: &dyn Kernel, smem_words: usize) {
-    let lc = kernel.launch_config();
-    let blocks: Vec<_> = lc.grid.iter_indices().collect();
-    blocks.par_iter().for_each(|&b| {
+    for_each_block(kernel.launch_config().grid, |_, b| {
         let mut ctx = BlockCtx::new(mem, smem_words, None);
         kernel.execute_block(b, &mut ctx);
     });
@@ -314,19 +343,16 @@ pub fn run_functional(mem: &GlobalMem, kernel: &dyn Kernel, smem_words: usize) {
 
 /// [`run_functional`] with a fault schedule: each block is armed with
 /// the faults aimed at its launch-order (linear) index before it
-/// executes. The linear index is the position in the grid's block
-/// enumeration order, which is stable under the rayon partitioning.
+/// executes, whatever the host partition.
 pub fn run_functional_with_faults(
     mem: &GlobalMem,
     kernel: &dyn Kernel,
     smem_words: usize,
     plan: &LaunchFaultPlan,
 ) {
-    let lc = kernel.launch_config();
-    let blocks: Vec<_> = lc.grid.iter_indices().collect();
-    blocks.par_iter().enumerate().for_each(|(i, &b)| {
+    for_each_block(kernel.launch_config().grid, |i, b| {
         let mut ctx = BlockCtx::new(mem, smem_words, None);
-        if let Some(f) = plan.block_faults(i as u64) {
+        if let Some(f) = plan.block_faults(i) {
             ctx.arm_faults(f);
         }
         kernel.execute_block(b, &mut ctx);
@@ -402,7 +428,7 @@ pub fn run_functional_counted_per_block_with_faults<'a>(
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use crate::dim::{Dim3, LaunchConfig};
+    use crate::dim::LaunchConfig;
     use crate::kernel::KernelResources;
     use crate::traffic::full_warp_idx;
 
@@ -517,6 +543,83 @@ mod tests {
         let vals: [[f32; 4]; 32] = std::array::from_fn(|l| std::array::from_fn(|j| (l + j) as f32));
         ctx.warp_st_global_vec(buf, &idx, &vals);
         assert_eq!(ctx.warp_ld_global_vec::<4>(buf, &idx), vals);
+    }
+
+    #[test]
+    fn partition_visits_every_block_once_with_its_launch_index() {
+        for grid in [Dim3::new_1d(37), Dim3::new_2d(5, 7), Dim3::new(3, 4, 2)] {
+            for threads in [1, 2, 3, 7] {
+                let seen = std::sync::Mutex::new(Vec::new());
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    for_each_block(grid, |i, b| seen.lock().unwrap().push((i, b)));
+                });
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|&(i, _)| i);
+                let want: Vec<(u64, Dim3)> = grid
+                    .iter_indices()
+                    .enumerate()
+                    .map(|(i, b)| (i as u64, b))
+                    .collect();
+                assert_eq!(seen, want, "{grid:?} at {threads} threads");
+            }
+        }
+    }
+
+    /// Blocks `(x, y)` add `[1e8, 1, -1e8, 1, …][x]` into row `y`'s
+    /// 32 words: float addition is not associative, so the result
+    /// exposes the order in which a grid row's blocks ran.
+    struct OrderProbe {
+        acc: BufId,
+        grid: Dim3,
+    }
+
+    impl Kernel for OrderProbe {
+        fn name(&self) -> String {
+            "order_probe".into()
+        }
+        fn launch_config(&self) -> LaunchConfig {
+            LaunchConfig::new(self.grid, 32u32)
+        }
+        fn resources(&self) -> KernelResources {
+            KernelResources {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                smem_bytes_per_block: 0,
+            }
+        }
+        fn execute_block(&self, b: Dim3, ctx: &mut BlockCtx) {
+            let v = [1e8f32, 1.0, -1e8, 1.0][b.x as usize % 4];
+            let idx = full_warp_idx(|l| b.y as usize * 32 + l);
+            ctx.warp_atomic_add(self.acc, &idx, &[v; 32]);
+        }
+        fn block_traffic(&self, b: Dim3, sink: &mut TrafficSink) {
+            sink.global_atomic(self.acc, &full_warp_idx(|l| b.y as usize * 32 + l));
+        }
+    }
+
+    #[test]
+    fn grid_rows_fold_in_launch_order_at_any_thread_count() {
+        let grid = Dim3::new_2d(16, 6);
+        let run = |threads: usize| {
+            let mut mem = GlobalMem::new();
+            let acc = mem.alloc(32 * 6);
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| run_functional(&mem, &OrderProbe { acc, grid }, 0));
+            mem.download(acc)
+        };
+        // Launch order: 1e8 absorbs the 1 before it and cancels, so
+        // each group of four leaves 1 (reordered, up to 8 survive).
+        let want = vec![1.0f32; 32 * 6];
+        for threads in [1, 2, 3, 5, 7] {
+            assert_eq!(run(threads), want, "{threads} threads");
+        }
     }
 
     #[test]

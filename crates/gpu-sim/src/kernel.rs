@@ -10,13 +10,15 @@
 //!   exactly the same warp-level access pattern into a
 //!   [`crate::traffic::TrafficSink`] without touching data, so
 //!   paper-scale problems (`M = 524288`) can be profiled without
-//!   materialising the `M×N` intermediate.
+//!   materialising the `M×N` intermediate;
+//! * optionally `execute_native` — a block-native functional path for
+//!   launches nobody observes per warp (DESIGN.md §17).
 //!
 //! The two implementations share their address-mapping helpers in
 //! `ks-gpu-kernels`; consistency between them is enforced by tests
 //! that run both on small problems and compare every counter.
 
-use crate::buffer::BufId;
+use crate::buffer::{BufId, GlobalMem};
 use crate::config::DeviceConfig;
 use crate::dim::{Dim3, LaunchConfig};
 use crate::exec::BlockCtx;
@@ -146,6 +148,20 @@ pub trait Kernel: Sync {
 
     /// Pure access-pattern replay of one thread block.
     fn block_traffic(&self, block: Dim3, sink: &mut TrafficSink);
+
+    /// Block-native functional execution of the whole launch, or
+    /// `false` (the default) when the kernel has none and the
+    /// interpreter must run it. [`crate::device::GpuDevice::run`]
+    /// offers every launch without a fault plan; a kernel that accepts
+    /// must leave global memory bit-identical to what
+    /// [`Kernel::execute_block`] produces on the sequential launch-order
+    /// schedule, and must not depend on the host thread count. It
+    /// records no counters and sees no faults, so `run_counted`,
+    /// traffic replay and fault-plan launches always interpret.
+    fn execute_native(&self, mem: &GlobalMem) -> bool {
+        let _ = mem;
+        false
+    }
 
     /// True if every block issues the identical compute and
     /// shared-memory instruction stream (global addresses may differ).
