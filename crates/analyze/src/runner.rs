@@ -19,8 +19,7 @@ use ks_gpu_kernels::aux_kernels::{
 use ks_gpu_kernels::fused::{ReducePartialsKernel, Reduction};
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
 use ks_gpu_kernels::{
-    CudaSgemm, FusedKernelSummation, FusedMultiWeight, Sgemm4x4, SmemLayout, TileGeometry,
-    VendorSgemm,
+    CudaSgemm, FusedKernelSummation, Sgemm4x4, SmemLayout, TileGeometry, VendorSgemm,
 };
 
 use crate::checks;
@@ -205,7 +204,9 @@ pub fn shipped_probes() -> Vec<Probe> {
         probes.push(Probe {
             name,
             mem,
-            kernel: Box::new(FusedMultiWeight::new(b.ops, b.a2, b.b2, w, v, shape, bw, 2)),
+            kernel: Box::new(FusedKernelSummation::new_multi(
+                b.ops, b.a2, b.b2, w, v, shape, bw, 2,
+            )),
         });
     }
 

@@ -11,7 +11,6 @@
 use ks_bench::table::{f3, ms, TableSet, TextTable};
 use ks_gpu_kernels::aux_kernels::{Bandwidth, EvalSumCoalescedKernel, EvalSumKernel};
 use ks_gpu_kernels::fused::{FusedKernelSummation, ReducePartialsKernel, Reduction};
-use ks_gpu_kernels::fused_multi::FusedMultiWeight;
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
 use ks_gpu_kernels::small_micro::Sgemm4x4;
 use ks_gpu_kernels::{CudaSgemm, SmemLayout};
@@ -219,7 +218,7 @@ fn main() {
             let (a2, b2) = (dev.alloc_virtual(m), dev.alloc_virtual(n));
             let w = dev.alloc_virtual(n * r);
             let v = dev.alloc_virtual(m * r);
-            dev.launch(&FusedMultiWeight::new(
+            dev.launch(&FusedKernelSummation::new_multi(
                 ops,
                 a2,
                 b2,

@@ -21,10 +21,26 @@
 //! `M×N` intermediate never exists in memory. That is the paper's
 //! whole point.
 //!
+//! One kernel, two constructors. [`FusedKernelSummation::new`] is the
+//! paper's single-weight kernel. [`FusedKernelSummation::new_multi`]
+//! evaluates `V = K·W` for `R` weight columns at once (kernel
+//! regression, batched serving): each Gaussian value is computed once
+//! in registers and folded into `R` per-column accumulators, costing
+//! `micro_m·micro_n·(R−1)` extra FFMAs per thread instead of `R − 1`
+//! extra GEMMs. The catch is the paper's §III-A register economy:
+//! each extra column costs ~`2·micro_n` registers per thread, so at
+//! the paper geometry `R = 2` passes the 128-register line and halves
+//! occupancy to one block per SM. `W` is `N×R` and `V` is `M×R`, both
+//! column-major (each output column receives coalesced atomics). At
+//! `R = 1` the two constructors build the same launch; only the
+//! kernel name differs.
+//!
 //! The kernel is parameterized over [`TileGeometry`]
 //! ([`FusedKernelSummation::with_geometry`]); the paper's hand-tuned
 //! configuration is [`TileGeometry::paper_default`] and every formula
 //! below reduces to the seed implementation at that point.
+
+use std::ops::Range;
 
 use ks_gpu_sim::access::{
     affine_lanes, masked_lanes, AccessSpec, BarrierSpec, GlobalPattern, SharedPattern,
@@ -56,6 +72,12 @@ use crate::native::{self, Drain, FusedJob};
 /// `(column, row group)` so block-class replay deltas stay
 /// sector-aligned and concurrent atomics never share a sector.
 pub const CHECKSUM_SLOT_WORDS: usize = 8;
+
+/// Maximum weight columns: the `T` scratch (which reuses an idle GEMM
+/// A-tile buffer of `block_m·tile_k` words) holds `block_m·R`
+/// partials, so `R ≤ tile_k`; the paper geometry's rank-8 tiles give
+/// this serving-batch ceiling.
+pub const MAX_WEIGHT_COLUMNS: usize = 8;
 
 /// Device buffers of the ABFT verification scheme (DESIGN.md §11).
 #[derive(Debug, Clone, Copy)]
@@ -163,25 +185,34 @@ pub enum Reduction {
     },
 }
 
-/// The fused kernel-summation kernel (Algorithm 2).
+/// The fused kernel-summation kernel (Algorithm 2) over `R` weight
+/// columns (see the module docs).
 pub struct FusedKernelSummation {
     ops: GemmOperands,
     a2: BufId,
     b2: BufId,
+    /// `N×R` column-major weights.
     w: BufId,
+    /// `M×R` column-major output.
     v: BufId,
-    shape: GemmShape,
+    pub(crate) shape: GemmShape,
     bw: Bandwidth,
     layout: SmemLayout,
     geometry: TileGeometry,
     reduction: Reduction,
     exec_model: ExecModel,
-    verify: Option<VerifyBufs>,
+    pub(crate) verify: Option<VerifyBufs>,
+    /// Weight columns.
+    pub(crate) r: usize,
+    /// Built by [`FusedKernelSummation::new_multi`], which names the
+    /// launch `fused_multiw{R}…` instead of `fused_ks…`.
+    multi: bool,
 }
 
 impl FusedKernelSummation {
-    /// Creates the kernel at the paper-default geometry. `v` must be
-    /// zeroed before launch (atomic reduction accumulates into it).
+    /// Creates the paper's single-weight kernel at the paper-default
+    /// geometry. `v` must be zeroed before launch (atomic reduction
+    /// accumulates into it).
     ///
     /// # Panics
     /// Panics if the shape violates the tiling constraints.
@@ -210,17 +241,57 @@ impl FusedKernelSummation {
             reduction: Reduction::Atomic,
             exec_model: ExecModel::CudaC,
             verify: None,
+            r: 1,
+            multi: false,
+        }
+    }
+
+    /// Creates the kernel with `r` weight columns at the paper-default
+    /// geometry: `w` is `N×R` and `v` (zeroed before launch) `M×R`,
+    /// both column-major.
+    ///
+    /// # Panics
+    /// Panics if the shape violates the tiling constraints or
+    /// `r ∉ 1..=MAX_WEIGHT_COLUMNS`.
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub fn new_multi(
+        ops: GemmOperands,
+        a2: BufId,
+        b2: BufId,
+        w: BufId,
+        v: BufId,
+        shape: GemmShape,
+        bw: Bandwidth,
+        r: usize,
+    ) -> Self {
+        assert!(
+            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
+            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
+        );
+        Self {
+            r,
+            multi: true,
+            ..Self::new(ops, a2, b2, w, v, shape, bw)
         }
     }
 
     /// Selects the tile geometry (the autotuner's knob). The shape
-    /// must divide the new geometry.
+    /// must divide the new geometry, and the column count must fit its
+    /// `T` scratch (`r ≤ tile_k`).
     ///
     /// # Panics
-    /// Panics if the shape violates the geometry's tiling constraints.
+    /// Panics if the shape violates the geometry's tiling constraints
+    /// or `r > geometry.tile_k`.
     #[must_use]
     pub fn with_geometry(mut self, geometry: TileGeometry) -> Self {
         self.shape.validate_for(&geometry);
+        assert!(
+            self.r <= geometry.tile_k,
+            "{} weight columns exceed the T scratch of {geometry} (tile_k {})",
+            self.r,
+            geometry.tile_k
+        );
         self.geometry = geometry;
         self
     }
@@ -234,8 +305,10 @@ impl FusedKernelSummation {
     /// Enables ABFT verification: the shared-memory audit, the γ
     /// re-fold, the `T` drain digest, and the checksum column /
     /// corruption flag in `bufs`. The checksum buffer must hold
-    /// `(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed words and the flag
-    /// buffer `CHECKSUM_SLOT_WORDS` zeroed words.
+    /// `R·(M/block_m)·CHECKSUM_SLOT_WORDS` zeroed words (slot
+    /// `(c·(M/block_m) + by)·CHECKSUM_SLOT_WORDS` for column `c`, row
+    /// group `by`) and the flag buffer `CHECKSUM_SLOT_WORDS` zeroed
+    /// words.
     #[must_use]
     pub fn with_verify(mut self, bufs: VerifyBufs) -> Self {
         self.verify = Some(bufs);
@@ -268,13 +341,42 @@ impl FusedKernelSummation {
     }
 
     /// Selects the inter-block reduction scheme (ablation).
+    ///
+    /// # Panics
+    /// Panics on [`Reduction::TwoPass`] with more than one weight
+    /// column: the partials buffer holds one column.
     #[must_use]
     pub fn with_reduction(mut self, reduction: Reduction) -> Self {
+        assert!(
+            self.r == 1 || reduction == Reduction::Atomic,
+            "two-pass reduction takes one weight column, not {}",
+            self.r
+        );
         self.reduction = reduction;
         self
     }
 
-    fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
+    /// This launch as a job of the block-native executor.
+    pub(crate) fn native_job(&self) -> FusedJob {
+        FusedJob {
+            ops: self.ops,
+            a2: self.a2,
+            b2: self.b2,
+            w: self.w,
+            shape: self.shape,
+            geometry: self.geometry,
+            inv_2h2: self.bw.inv_2h2(),
+            r: self.r,
+            drain: match self.reduction {
+                Reduction::Atomic => Drain::Atomic(self.v),
+                Reduction::TwoPass { partials } => Drain::Partials(partials),
+            },
+        }
+    }
+
+    /// Runs block `block` of the launch: the one warp body every fused
+    /// launch (paper, multi-weight, packed segment) executes.
+    pub(crate) fn body<M: WarpMachine>(&self, block: Dim3, mach: &mut M) {
         let (bx, by) = (block.x as usize, block.y as usize);
         let s = self.bw.inv_2h2();
         let geo = &self.geometry;
@@ -283,6 +385,7 @@ impl FusedKernelSummation {
         let txn = geo.threads_x();
         let rpw = geo.rows_per_warp();
         let threads = geo.threads_per_block();
+        let (m, n, r) = (self.shape.m, self.shape.n, self.r);
 
         // --- GEMM phase (Algorithm 2 lines 5–13) -----------------------
         let mut acc = if M::FUNCTIONAL {
@@ -319,16 +422,18 @@ impl FusedKernelSummation {
         // on the γ row partials (data only — no instructions, so the
         // unverified kernel's counters are untouched and the fault
         // surfaces as a silently wrong result).
-        let mut reg_flips: Vec<(usize, usize, u8)> = Vec::new();
+        let mut reg_flips: Vec<(usize, usize, usize, u8)> = Vec::new();
         if M::FUNCTIONAL {
+            let span = (threads * mm * r) as u64;
             for (pick, bit) in mach.accumulator_faults() {
-                let elem = (pick % (threads * mm) as u64) as usize;
-                reg_flips.push((elem / mm, elem % mm, bit));
+                let elem = (pick % span) as usize;
+                let (tid, rest) = (elem / (mm * r), elem % (mm * r));
+                reg_flips.push((tid, rest / mm, rest % mm, bit));
             }
         }
 
         // --- Gaussian evaluation + intra-thread reduction (lines 14–16)
-        // Row partials per (warp, lane): γ[r] = Σ_c K[r][c]·W[c].
+        // Row partials per (warp, lane, column): γ[row] = Σ_c K[row][c]·W[c].
         //
         // T reuses a GEMM tile buffer (the paper reuses sharedA0 to keep
         // occupancy at 2 blocks/SM). It must be the A buffer the final
@@ -336,10 +441,11 @@ impl FusedKernelSummation {
         // double buffering that compute reads `a[(tiles−1) % 2]`, so T
         // parks in `a[tiles % 2]`; single-buffered, both map to word 0
         // and the extra barrier before the eval loop orders them.
+        // Column c parks at word offset t_off + c·block_m.
         let tiles = geo.tiles(self.shape.k);
-        let t_base = SmemMap::for_geometry(geo).a[tiles % 2];
-        // gamma[tid·micro_m + r]
-        let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm } else { 0 }];
+        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
+        // gamma[(tid·r + col)·micro_m + row]
+        let mut gamma = vec![0.0f32; if M::FUNCTIONAL { threads * mm * r } else { 0 }];
         // ABFT digests: γ before/after the register-fault window (the
         // re-fold comparison), and T at store vs drain time.
         let mut gamma_clean_xor = 0u32;
@@ -361,7 +467,8 @@ impl FusedKernelSummation {
                     *dst = v;
                 }
             }
-            // Column norms and weights: micro_n/4 LDG.128 each.
+            // Column norms, then the R weight slices (column c at
+            // offset c·N): micro_n/4 LDG.128 each.
             let mut b2_chunks = vec![[[0.0f32; 4]; 32]; cn];
             for (chunk, dst) in b2_chunks.iter_mut().enumerate() {
                 let idx: WarpIdx =
@@ -371,82 +478,81 @@ impl FusedKernelSummation {
                     *dst = v;
                 }
             }
-            let mut w_chunks = vec![[[0.0f32; 4]; 32]; cn];
-            for (chunk, dst) in w_chunks.iter_mut().enumerate() {
-                let idx: WarpIdx =
-                    std::array::from_fn(|lane| Some(bx * geo.block_n + col0(lane) + 4 * chunk));
-                let v = mach.ld_global(self.w, &idx, VecWidth::V4);
-                if M::FUNCTIONAL {
-                    *dst = v;
-                }
-            }
-
-            // Per element: FADD (‖α‖²+‖β‖²), 2 FFMA (argument fold),
-            // MUFU.EX2 (exp); then FFMA against W for the reduction.
-            let elems = (mm * mn) as u64;
-            mach.falu(elems);
-            mach.ffma(2 * elems);
-            mach.sfu(elems);
-            mach.ffma(elems);
-            if M::FUNCTIONAL {
-                for lane in 0..32 {
-                    let tid = wp * 32 + lane;
-                    let a2row: [f32; MAX_MICRO] = std::array::from_fn(|r| {
-                        if r < mm {
-                            a2_chunks[r / 4][lane][r % 4]
-                        } else {
-                            0.0
-                        }
+            let mut w_chunks = vec![vec![[[0.0f32; 4]; 32]; cn]; r];
+            for (c, col_chunks) in w_chunks.iter_mut().enumerate() {
+                for (chunk, dst) in col_chunks.iter_mut().enumerate() {
+                    let idx: WarpIdx = std::array::from_fn(|lane| {
+                        Some(c * n + bx * geo.block_n + col0(lane) + 4 * chunk)
                     });
-                    let b2col: [f32; MAX_MICRO] = std::array::from_fn(|c| {
-                        if c < mn {
-                            b2_chunks[c / 4][lane][c % 4]
-                        } else {
-                            0.0
-                        }
-                    });
-                    let wcol: [f32; MAX_MICRO] = std::array::from_fn(|c| {
-                        if c < mn {
-                            w_chunks[c / 4][lane][c % 4]
-                        } else {
-                            0.0
-                        }
-                    });
-                    for r in 0..mm {
-                        let mut g = 0.0f32;
-                        for c in 0..mn {
-                            let d = a2row[r] + b2col[c] - 2.0 * acc.at(tid, r, c);
-                            g += gaussian(d, s) * wcol[c];
-                        }
-                        gamma[tid * mm + r] = g;
+                    let v = mach.ld_global(self.w, &idx, VecWidth::V4);
+                    if M::FUNCTIONAL {
+                        *dst = v;
                     }
                 }
             }
 
+            // Per element: FADD (‖α‖²+‖β‖²), 2 FFMA (argument fold),
+            // MUFU.EX2 (exp) once; then one FFMA per weight column.
+            let elems = (mm * mn) as u64;
+            mach.falu(elems);
+            mach.ffma(2 * elems);
+            mach.sfu(elems);
+            mach.ffma(elems * r as u64);
+            if M::FUNCTIONAL {
+                for lane in 0..32 {
+                    let tid = wp * 32 + lane;
+                    let a2row: [f32; MAX_MICRO] = std::array::from_fn(|i| {
+                        if i < mm {
+                            a2_chunks[i / 4][lane][i % 4]
+                        } else {
+                            0.0
+                        }
+                    });
+                    let b2col: [f32; MAX_MICRO] = std::array::from_fn(|cc| {
+                        if cc < mn {
+                            b2_chunks[cc / 4][lane][cc % 4]
+                        } else {
+                            0.0
+                        }
+                    });
+                    for row in 0..mm {
+                        for cc in 0..mn {
+                            let d = a2row[row] + b2col[cc] - 2.0 * acc.at(tid, row, cc);
+                            let kv = gaussian(d, s);
+                            for c in 0..r {
+                                let wv = w_chunks[c][cc / 4][lane][cc % 4];
+                                gamma[(tid * r + c) * mm + row] += kv * wv;
+                            }
+                        }
+                    }
+                }
+            }
+
+            let gamma_of = |tid: usize| tid * r * mm..(tid + 1) * r * mm;
             if self.verify.is_some() {
-                // DMR on the fold: re-evaluate γ from the (ECC-clean)
-                // Gaussian values and compare. The simulator's
-                // recompute is bit-identical, so the comparison is
-                // modelled as an exact digest of the clean γ.
-                mach.ffma(elems);
+                // DMR on the R folds: re-evaluate γ from the
+                // (ECC-clean) Gaussian values and compare. The
+                // simulator's recompute is bit-identical, so the
+                // comparison is modelled as an exact digest of the
+                // clean γ.
+                mach.ffma(elems * r as u64);
                 mach.falu(mm as u64);
                 if M::FUNCTIONAL {
                     for lane in 0..32 {
-                        let tid = wp * 32 + lane;
-                        for g in &gamma[tid * mm..(tid + 1) * mm] {
+                        for g in &gamma[gamma_of(wp * 32 + lane)] {
                             gamma_clean_xor ^= g.to_bits();
                         }
                     }
                 }
             }
             if M::FUNCTIONAL {
-                for &(tid, row, bit) in reg_flips.iter().filter(|f| f.0 / 32 == wp) {
-                    gamma[tid * mm + row] = flip_bit(gamma[tid * mm + row], bit);
+                for &(tid, col, row, bit) in reg_flips.iter().filter(|f| f.0 / 32 == wp) {
+                    let idx = (tid * r + col) * mm + row;
+                    gamma[idx] = flip_bit(gamma[idx], bit);
                 }
                 if self.verify.is_some() {
                     for lane in 0..32 {
-                        let tid = wp * 32 + lane;
-                        for g in &gamma[tid * mm..(tid + 1) * mm] {
+                        for g in &gamma[gamma_of(wp * 32 + lane)] {
                             gamma_parked_xor ^= g.to_bits();
                         }
                     }
@@ -454,67 +560,74 @@ impl FusedKernelSummation {
             }
 
             // --- Intra-block reduction: log2(threads_x) shuffle
-            //     rounds over the tx lanes of each ty group. ----------
-            let shuffle_ops = (txn.trailing_zeros() as u64) * mm as u64;
+            //     rounds over the tx lanes of each ty group, per
+            //     column. ----------------------------------------------
+            let shuffle_ops = (txn.trailing_zeros() as u64) * (mm * r) as u64;
             mach.alu(shuffle_ops);
             mach.falu(shuffle_ops);
             // Lanes with tx == 0 (rows_per_warp per warp) park the
-            // per-ty row sums in T (the idle A tile buffer above).
-            let t_words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| (lane % txn == 0).then_some(t_base + row0(lane) as u32));
-            // micro_m phases: one word per microtile row.
-            for r in 0..mm {
-                let words: [Option<u32>; 32] =
-                    std::array::from_fn(|lane| t_words[lane].map(|b| b + r as u32));
-                let mut vals = [[0.0f32; 4]; 32];
-                if M::FUNCTIONAL {
-                    for h in 0..rpw {
-                        let mut sum = 0.0f32;
-                        for tx in 0..txn {
-                            let tid = wp * 32 + h * txn + tx;
-                            // After the shuffle rounds lane tx==0 holds
-                            // the tx-sum; we model its value directly.
-                            sum += gamma[tid * mm + r];
-                        }
-                        vals[h * txn][0] = sum;
-                        if self.verify.is_some() {
-                            t_store_xor ^= sum.to_bits();
+            // per-ty row sums in T, micro_m phases per column.
+            for c in 0..r {
+                let t_base: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                    (lane % txn == 0).then_some(t_off + (c * geo.block_m + row0(lane)) as u32)
+                });
+                for row in 0..mm {
+                    let words: [Option<u32>; 32] =
+                        std::array::from_fn(|lane| t_base[lane].map(|b| b + row as u32));
+                    let mut vals = [[0.0f32; 4]; 32];
+                    if M::FUNCTIONAL {
+                        for h in 0..rpw {
+                            let mut sum = 0.0f32;
+                            for tx in 0..txn {
+                                // After the shuffle rounds lane tx==0
+                                // holds the tx-sum; we model its value
+                                // directly.
+                                let tid = wp * 32 + h * txn + tx;
+                                sum += gamma[(tid * r + c) * mm + row];
+                            }
+                            vals[h * txn][0] = sum;
+                            if self.verify.is_some() {
+                                t_store_xor ^= sum.to_bits();
+                            }
                         }
                     }
+                    mach.st_shared(&words, VecWidth::V1, &vals);
                 }
-                mach.st_shared(&words, VecWidth::V1, &vals);
             }
         }
         mach.syncthreads(warps as u64);
 
         // --- Inter-block reduction (lines 18–22): the leading warps
-        //     drain T (32 words per phase) and atomically update V. --
+        //     drain T (32 words per phase, one pass per column) and
+        //     atomically update V. ------------------------------------
         let mut t_drain_xor = 0u32;
-        let mut sigma = 0.0f32;
+        let mut sigma = [0.0f32; MAX_WEIGHT_COLUMNS];
         for p in 0..geo.drain_phases() {
             mach.begin_warp((p % warps) as u32);
-            let words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| Some(t_base + (p * 32 + lane) as u32));
-            let t_vals = mach.ld_shared(&words, VecWidth::V1);
-            let vidx: WarpIdx = std::array::from_fn(|lane| Some(by * geo.block_m + p * 32 + lane));
-            let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
-            if M::FUNCTIONAL && self.verify.is_some() {
-                for v in &lane_vals {
-                    t_drain_xor ^= v.to_bits();
-                    sigma += v;
+            for c in 0..r {
+                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
+                });
+                let t_vals = mach.ld_shared(&words, VecWidth::V1);
+                let row = by * geo.block_m + p * 32;
+                let lane_vals: [f32; 32] = std::array::from_fn(|lane| t_vals[lane][0]);
+                if M::FUNCTIONAL && self.verify.is_some() {
+                    for v in &lane_vals {
+                        t_drain_xor ^= v.to_bits();
+                        sigma[c] += v;
+                    }
                 }
-            }
-            match self.reduction {
-                Reduction::Atomic => {
-                    mach.atomic_add(self.v, &vidx, &lane_vals);
-                }
-                Reduction::TwoPass { partials } => {
-                    let pidx: WarpIdx = std::array::from_fn(|lane| {
-                        Some(bx * self.shape.m + by * geo.block_m + p * 32 + lane)
-                    });
-                    let vals: [[f32; 4]; 32] =
-                        std::array::from_fn(|lane| [lane_vals[lane], 0.0, 0.0, 0.0]);
-                    mach.st_global(partials, &pidx, VecWidth::V1, &vals);
+                match self.reduction {
+                    Reduction::Atomic => {
+                        let vidx: WarpIdx = std::array::from_fn(|lane| Some(c * m + row + lane));
+                        mach.atomic_add(self.v, &vidx, &lane_vals);
+                    }
+                    Reduction::TwoPass { partials } => {
+                        let pidx: WarpIdx = std::array::from_fn(|lane| Some(bx * m + row + lane));
+                        let vals: [[f32; 4]; 32] =
+                            std::array::from_fn(|lane| [lane_vals[lane], 0.0, 0.0, 0.0]);
+                        mach.st_global(partials, &pidx, VecWidth::V1, &vals);
+                    }
                 }
             }
         }
@@ -523,12 +636,17 @@ impl FusedKernelSummation {
         if let Some(vb) = self.verify {
             corrupt |= gamma_clean_xor != gamma_parked_xor;
             corrupt |= t_store_xor != t_drain_xor;
+            let gy = m / geo.block_m;
             mach.begin_warp(0);
-            mach.falu(2); // fold σ; combine the corruption predicate
-            let cidx: WarpIdx =
-                std::array::from_fn(|lane| (lane == 0).then_some(by * CHECKSUM_SLOT_WORDS));
+            // Fold σ; combine the corruption predicate.
+            mach.falu(2);
+            // One atomic with R active lanes: lane c updates the slot
+            // of (column c, row group by) — distinct sectors.
+            let cidx: WarpIdx = std::array::from_fn(|lane| {
+                (lane < r).then_some((lane * gy + by) * CHECKSUM_SLOT_WORDS)
+            });
             let mut cvals = [0.0f32; 32];
-            cvals[0] = sigma;
+            cvals[..r].copy_from_slice(&sigma[..r]);
             mach.atomic_add(vb.checksum, &cidx, &cvals);
             // Unconditional: clean blocks add 0.0, so every block
             // issues the identical instruction stream.
@@ -540,21 +658,41 @@ impl FusedKernelSummation {
     }
 }
 
+/// `_g{bm}x{bn}u{um}x{un}k{tk}d{depth}`, or nothing at the paper
+/// geometry: the geometry part of every fused kernel name.
+pub(crate) fn geometry_tag(g: &TileGeometry) -> String {
+    if *g == TileGeometry::paper_default() {
+        String::new()
+    } else {
+        format!(
+            "_g{}x{}u{}x{}k{}d{}",
+            g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
+        )
+    }
+}
+
+/// Launch-order runs of the row groups of a `gx × gy` grid whose first
+/// block is linear block `start`: the blocks of one run all fold into
+/// the same `V` rows (see [`Kernel::block_rows`]).
+pub(crate) fn row_groups(start: u64, (gx, gy): (u32, u32)) -> impl Iterator<Item = Range<u64>> {
+    let gx = u64::from(gx);
+    (0..u64::from(gy)).map(move |by| start + by * gx..start + (by + 1) * gx)
+}
+
 impl Kernel for FusedKernelSummation {
     fn name(&self) -> String {
-        let tag = if self.verify.is_some() { "_abft" } else { "" };
-        let gtag = if self.geometry == TileGeometry::paper_default() {
-            String::new()
+        let head = if self.multi {
+            format!("fused_multiw{}", self.r)
         } else {
-            let g = &self.geometry;
-            format!(
-                "_g{}x{}u{}x{}k{}d{}",
-                g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
-            )
+            "fused_ks".to_owned()
         };
+        let tag = if self.verify.is_some() { "_abft" } else { "" };
         format!(
-            "fused_ks{tag}{gtag}_{}x{}x{}",
-            self.shape.m, self.shape.n, self.shape.k
+            "{head}{tag}{}_{}x{}x{}",
+            geometry_tag(&self.geometry),
+            self.shape.m,
+            self.shape.n,
+            self.shape.k
         )
     }
 
@@ -570,9 +708,13 @@ impl Kernel for FusedKernelSummation {
     }
 
     fn resources(&self) -> KernelResources {
-        let mut res = self.geometry.resources();
-        res.smem_bytes_per_block = SmemMap::for_geometry(&self.geometry).bytes();
-        res
+        KernelResources {
+            threads_per_block: self.geometry.threads_per_block() as u32,
+            // Extra weight columns saturate at the 255-register
+            // ceiling (the compiler spills past it).
+            regs_per_thread: self.geometry.regs_per_thread_multi(self.r).min(255),
+            smem_bytes_per_block: SmemMap::for_geometry(&self.geometry).bytes(),
+        }
     }
 
     fn timing_hints(&self) -> TimingHints {
@@ -598,25 +740,12 @@ impl Kernel for FusedKernelSummation {
         if self.verify.is_some() {
             return false;
         }
-        let drain = match self.reduction {
-            Reduction::Atomic => Drain::Atomic(self.v),
-            Reduction::TwoPass { partials } => Drain::Partials(partials),
-        };
-        native::run(
-            mem,
-            &[FusedJob {
-                ops: self.ops,
-                a2: self.a2,
-                b2: self.b2,
-                w: self.w,
-                shape: self.shape,
-                geometry: self.geometry,
-                inv_2h2: self.bw.inv_2h2(),
-                r: 1,
-                drain,
-            }],
-        );
+        native::run(mem, &[self.native_job()]);
         true
+    }
+
+    fn block_rows(&self) -> Option<Vec<Range<u64>>> {
+        Some(row_groups(0, self.shape.grid_for(&self.geometry)).collect())
     }
 
     fn traffic_homogeneous(&self) -> bool {
@@ -629,6 +758,7 @@ impl Kernel for FusedKernelSummation {
         let txn = geo.threads_x();
         let rpw = geo.rows_per_warp();
         let warps = geo.warps_per_block();
+        let (m, n, r) = (self.shape.m, self.shape.n, self.r);
         let mut spec = AccessSpec::default();
         gemm_access_spec(
             &mut spec,
@@ -639,88 +769,96 @@ impl Kernel for FusedKernelSummation {
             self.verify.is_some(),
         );
         let tiles = geo.tiles(self.shape.k);
-        let t_base = SmemMap::for_geometry(geo).a[tiles % 2];
+        let t_off = SmemMap::for_geometry(geo).a[tiles % 2];
         // Evaluation phase: per warp, norm/weight vector loads and the
-        // micro_m T-park store phases (tx == 0 lanes only).
+        // micro_m T-park store phases per column (tx == 0 lanes only).
         let (cm, cn) = (mm / 4, mn / 4);
         for wp in 0..warps {
             let row = |lane: usize| ((rpw * wp + lane / txn) * mm) as i64;
             let col = |lane: usize| ((lane % txn) * mn) as i64;
-            for chunk in 0..cm.max(cn) {
-                if chunk < cm {
-                    spec.global.push(
-                        GlobalPattern::new(
-                            self.a2,
-                            "a2",
-                            AccessDir::Read,
-                            VecWidth::V4,
-                            affine_lanes(|lane| row(lane) + 4 * chunk as i64),
-                        )
-                        .with_by(geo.block_m as i64),
-                    );
-                }
-                if chunk < cn {
-                    for (buf, label) in [(self.b2, "b2"), (self.w, "w")] {
-                        spec.global.push(
-                            GlobalPattern::new(
-                                buf,
-                                label,
-                                AccessDir::Read,
-                                VecWidth::V4,
-                                affine_lanes(|lane| col(lane) + 4 * chunk as i64),
-                            )
-                            .with_bx(geo.block_n as i64),
-                        );
-                    }
-                }
+            // The warp's vector loads in the body's order: the row
+            // norms, the column norms, then the column-major weight
+            // slices (column c at offset c·N), as (buffer, label,
+            // offset, chunk, row side). The paper constructor lists
+            // them chunk by chunk instead; the lint report keeps that
+            // order.
+            let mut loads: Vec<(BufId, &str, usize, usize, bool)> = (0..cm)
+                .map(|chunk| (self.a2, "a2", 0, chunk, true))
+                .chain((0..cn).map(|chunk| (self.b2, "b2", 0, chunk, false)))
+                .chain(
+                    (0..r)
+                        .flat_map(|c| (0..cn).map(move |chunk| (self.w, "w", c * n, chunk, false))),
+                )
+                .collect();
+            if !self.multi {
+                loads.sort_by_key(|load| load.3);
             }
-            for r in 0..mm {
-                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
-                    (lane % txn == 0).then_some(t_base + row(lane) as u32 + r as u32)
+            for (buf, label, base, chunk, rows) in loads {
+                let at = |lane: usize| {
+                    base as i64 + if rows { row(lane) } else { col(lane) } + 4 * chunk as i64
+                };
+                let pattern =
+                    GlobalPattern::new(buf, label, AccessDir::Read, VecWidth::V4, affine_lanes(at));
+                spec.global.push(if rows {
+                    pattern.with_by(geo.block_m as i64)
+                } else {
+                    pattern.with_bx(geo.block_n as i64)
                 });
-                spec.shared
-                    .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Write));
+            }
+            for c in 0..r {
+                for row_w in 0..mm {
+                    let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                        (lane % txn == 0).then_some(
+                            t_off + (c * geo.block_m) as u32 + row(lane) as u32 + row_w as u32,
+                        )
+                    });
+                    spec.shared
+                        .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Write));
+                }
             }
         }
-        // Drain: 32-word phases over T, reduced into V.
+        // Drain: 32-word phases over T per column, reduced into V.
         for p in 0..geo.drain_phases() {
-            let words: [Option<u32>; 32] =
-                std::array::from_fn(|lane| Some(t_base + (p * 32 + lane) as u32));
-            spec.shared
-                .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
-            match self.reduction {
-                Reduction::Atomic => spec.global.push(
-                    GlobalPattern::new(
+            for c in 0..r {
+                let words: [Option<u32>; 32] = std::array::from_fn(|lane| {
+                    Some(t_off + (c * geo.block_m + p * 32 + lane) as u32)
+                });
+                spec.shared
+                    .push(SharedPattern::new(words, VecWidth::V1, AccessDir::Read));
+                spec.global.push(match self.reduction {
+                    Reduction::Atomic => GlobalPattern::new(
                         self.v,
                         "v",
                         AccessDir::Atomic,
                         VecWidth::V1,
-                        affine_lanes(|lane| (p * 32 + lane) as i64),
+                        affine_lanes(|lane| (c * m + p * 32 + lane) as i64),
                     )
                     .with_by(geo.block_m as i64),
-                ),
-                Reduction::TwoPass { partials } => spec.global.push(
-                    GlobalPattern::new(
+                    Reduction::TwoPass { partials } => GlobalPattern::new(
                         partials,
                         "partials",
                         AccessDir::Write,
                         VecWidth::V1,
                         affine_lanes(|lane| (p * 32 + lane) as i64),
                     )
-                    .with_bx(self.shape.m as i64)
+                    .with_bx(m as i64)
                     .with_by(geo.block_m as i64),
-                ),
+                });
             }
         }
-        // ABFT epilogue: lane-0 checksum and flag atomics.
+        // ABFT epilogue: the R-lane checksum atomic and the lane-0
+        // flag atomic.
         if let Some(vb) = self.verify {
+            let gy = m / geo.block_m;
             spec.global.push(
                 GlobalPattern::new(
                     vb.checksum,
                     "chk",
                     AccessDir::Atomic,
                     VecWidth::V1,
-                    masked_lanes(|lane| (lane == 0).then_some(0)),
+                    masked_lanes(|lane| {
+                        (lane < r).then_some((lane * gy * CHECKSUM_SLOT_WORDS) as i64)
+                    }),
                 )
                 .with_by(CHECKSUM_SLOT_WORDS as i64),
             );
@@ -745,7 +883,8 @@ impl Kernel for FusedKernelSummation {
         // A rows start at by·block_m·k, B columns at bx·block_n·k, the
         // norm / weight vectors at by·block_m / bx·block_n, and the
         // reduction target at by·block_m (atomic) or bx·m + by·block_m
-        // (two-pass partials).
+        // (two-pass partials). The c·n / c·m column offsets of the
+        // weight reads and atomic drains are block-invariant.
         let (bx, by) = (block.x as usize, block.y as usize);
         let geo = &self.geometry;
         let mut anchors = vec![
@@ -763,7 +902,8 @@ impl Kernel for FusedKernelSummation {
         }
         if let Some(vb) = self.verify {
             // Checksum atomics shift by one sector-aligned slot per
-            // row group; the flag is block-invariant (zero delta).
+            // row group (the c·gy slot offsets are block-invariant);
+            // the flag never moves (zero delta).
             anchors.push((vb.checksum, by * CHECKSUM_SLOT_WORDS));
             anchors.push((vb.flag, 0));
         }
@@ -771,71 +911,45 @@ impl Kernel for FusedKernelSummation {
     }
 
     fn analysis_budget(&self) -> AnalysisBudget {
-        let (m, n, k) = (self.shape.m, self.shape.n, self.shape.k);
+        let (m, n, k, r) = (self.shape.m, self.shape.n, self.shape.k, self.r);
         let geo = &self.geometry;
+        let read = |buf: BufId, len: usize, label: &'static str| BufferUse {
+            buf,
+            len,
+            writes: false,
+            label,
+        };
+        let written = |buf: BufId, len: usize, label: &'static str| BufferUse {
+            buf,
+            len,
+            writes: true,
+            label,
+        };
         let mut buffers = vec![
-            BufferUse {
-                buf: self.ops.a,
-                len: m * k,
-                writes: false,
-                label: "a",
-            },
-            BufferUse {
-                buf: self.ops.b,
-                len: k * n,
-                writes: false,
-                label: "b",
-            },
-            BufferUse {
-                buf: self.a2,
-                len: m,
-                writes: false,
-                label: "a2",
-            },
-            BufferUse {
-                buf: self.b2,
-                len: n,
-                writes: false,
-                label: "b2",
-            },
-            BufferUse {
-                buf: self.w,
-                len: n,
-                writes: false,
-                label: "w",
+            read(self.ops.a, m * k, "a"),
+            read(self.ops.b, k * n, "b"),
+            read(self.a2, m, "a2"),
+            read(self.b2, n, "b2"),
+            read(self.w, n * r, "w"),
+            match self.reduction {
+                Reduction::Atomic => written(self.v, m * r, "v"),
+                Reduction::TwoPass { partials } => {
+                    written(partials, (n / geo.block_n) * m, "partials")
+                }
             },
         ];
-        match self.reduction {
-            Reduction::Atomic => buffers.push(BufferUse {
-                buf: self.v,
-                len: m,
-                writes: true,
-                label: "v",
-            }),
-            Reduction::TwoPass { partials } => buffers.push(BufferUse {
-                buf: partials,
-                len: (n / geo.block_n) * m,
-                writes: true,
-                label: "partials",
-            }),
-        }
         if let Some(vb) = self.verify {
-            buffers.push(BufferUse {
-                buf: vb.checksum,
-                len: (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "chk",
-            });
-            buffers.push(BufferUse {
-                buf: vb.flag,
-                len: CHECKSUM_SLOT_WORDS,
-                writes: true,
-                label: "flag",
-            });
+            buffers.push(written(
+                vb.checksum,
+                r * (m / geo.block_m) * CHECKSUM_SLOT_WORDS,
+                "chk",
+            ));
+            buffers.push(written(vb.flag, CHECKSUM_SLOT_WORDS, "flag"));
         }
-        // Occupancy expectation: the reference device this repo's
-        // analysis fixtures run on (the paper point lands on its
-        // measured 2 blocks/SM, register-limited).
+        // Occupancy expectation on the reference device this repo's
+        // analysis fixtures run on: the paper point lands on its
+        // measured 2 blocks/SM, register-limited, and §III-A's register
+        // economy halves that to one block per SM at R ≥ 2.
         let occ = ks_gpu_sim::occupancy::occupancy(&DeviceConfig::gtx970(), &self.resources());
         AnalysisBudget {
             // Fig. 5's swizzle is conflict-free; the naive row-major

@@ -1,4 +1,4 @@
-//! Horizontally-fused packed kernel: many unrelated small fused-multi
+//! Horizontally-fused packed kernel: many unrelated small fused
 //! queries in **one** launch.
 //!
 //! At serving scale traffic is dominated by small `(source, target, h)`
@@ -23,13 +23,12 @@
 //!
 //! ## Bit-exactness
 //! A packed launch is bit-identical to running the segments back to
-//! back: each block runs [`FusedMultiWeight::body`] with the same local
-//! coordinates and the same buffer contents it would see unpacked, the
-//! segments write disjoint output buffers, and the atomic-reduction
-//! envelope *within* a segment (how many blocks fold into each `V`
-//! element) is unchanged by packing. The serve layer keeps the same
-//! determinism envelope it already documents for the unpacked kernel
-//! (≤ 2 atomic contributors per output element).
+//! back: each block runs the one [`FusedKernelSummation`] body with the
+//! same local coordinates and the same buffer contents it would see
+//! unpacked, and the segments write disjoint output buffers. Each
+//! segment row group is a contiguous run of linear blocks, declared
+//! through [`Kernel::block_rows`], so the interpreter folds its atomics
+//! in launch order exactly as the unpacked launch does.
 //!
 //! ## Admission
 //! The packed kernel deliberately returns `access_spec() = None` — an
@@ -42,6 +41,7 @@
 //! is eligible for packing, so no un-admitted shape can ride in.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ks_gpu_sim::access::AccessSpec;
 use ks_gpu_sim::buffer::{BufId, GlobalMem};
@@ -56,8 +56,9 @@ use ks_gpu_sim::profiler::PipelineProfile;
 use ks_gpu_sim::traffic::TrafficSink;
 
 use crate::aux_kernels::{Bandwidth, NormsKernel};
-use crate::fused::{VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-use crate::fused_multi::{FusedMultiWeight, MAX_WEIGHT_COLUMNS};
+use crate::fused::{
+    geometry_tag, row_groups, FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS,
+};
 use crate::gemm_engine::{GemmOperands, GemmShape, SmemMap};
 use crate::geometry::TileGeometry;
 use crate::machine::{FunctionalMachine, TrafficMachine};
@@ -147,10 +148,10 @@ impl RoutingTable {
 }
 
 /// The horizontally-fused packed kernel: one 1-D launch over the
-/// concatenated grids of many [`FusedMultiWeight`] segments (see the
-/// module docs for routing and bit-exactness).
+/// concatenated grids of many [`FusedKernelSummation`] segments (see
+/// the module docs for routing and bit-exactness).
 pub struct FusedMultiPacked {
-    segments: Vec<FusedMultiWeight>,
+    segments: Vec<FusedKernelSummation>,
     table: RoutingTable,
     geometry: TileGeometry,
     max_r: usize,
@@ -165,13 +166,14 @@ impl FusedMultiPacked {
     /// tile geometry (one launch has one block shape / smem footprint),
     /// or ABFT verification is not uniform across segments.
     #[must_use]
-    pub fn new(segments: Vec<FusedMultiWeight>) -> Self {
+    pub fn new(segments: Vec<FusedKernelSummation>) -> Self {
         assert!(!segments.is_empty(), "packed launch needs segments");
-        let geometry = segments[0].geometry;
+        let geometry = *segments[0].geometry();
         let verified = segments[0].verify.is_some();
         for seg in &segments {
             assert_eq!(
-                seg.geometry, geometry,
+                *seg.geometry(),
+                geometry,
                 "packed segments must share one tile geometry"
             );
             assert_eq!(
@@ -210,19 +212,11 @@ impl FusedMultiPacked {
 impl Kernel for FusedMultiPacked {
     fn name(&self) -> String {
         let tag = if self.verified { "_abft" } else { "" };
-        let gtag = if self.geometry == TileGeometry::paper_default() {
-            String::new()
-        } else {
-            let g = &self.geometry;
-            format!(
-                "_g{}x{}u{}x{}k{}d{}",
-                g.block_m, g.block_n, g.micro_m, g.micro_n, g.tile_k, g.double_buffer_depth
-            )
-        };
         format!(
-            "fused_multi_packed{}w{}{tag}{gtag}_{}b",
+            "fused_multi_packed{}w{}{tag}{}_{}b",
             self.segments.len(),
             self.max_r,
+            geometry_tag(&self.geometry),
             self.table.total_blocks()
         )
     }
@@ -269,10 +263,25 @@ impl Kernel for FusedMultiPacked {
         let jobs: Vec<_> = self
             .segments
             .iter()
-            .map(FusedMultiWeight::native_job)
+            .map(FusedKernelSummation::native_job)
             .collect();
         native::run(mem, &jobs);
         true
+    }
+
+    fn block_rows(&self) -> Option<Vec<Range<u64>>> {
+        // Segment by segment, the row groups of its solo grid, shifted
+        // to the segment's first linear block.
+        Some(
+            (0..self.table.segments())
+                .flat_map(|seg| {
+                    row_groups(
+                        u64::from(self.table.segment_start(seg)),
+                        self.table.grid(seg),
+                    )
+                })
+                .collect(),
+        )
     }
 
     fn traffic_homogeneous(&self) -> bool {
@@ -444,6 +453,11 @@ fn corpus_slot(
     (i, sq)
 }
 
+/// What a packed wave hands back: per-segment `M×R` column-major
+/// results, the wave's single pipeline profile, and (when verified)
+/// one report per segment.
+pub type PackedWaveOutput = (Vec<Vec<f32>>, PipelineProfile, Option<Vec<VerifyReport>>);
+
 /// Runs a horizontally-fused packed wave end to end on `dev`: one
 /// norms pass per **unique** cold corpus slot (warm segments upload
 /// their precomputed norms exactly as the unpacked plan-hit path
@@ -455,7 +469,7 @@ fn corpus_slot(
 /// launch degrades only the affected segments.
 ///
 /// Results are bit-identical to running each segment through
-/// [`crate::fused_multi::execute_fused_multi_with`] on its own: every
+/// [`crate::fused_multi::execute_fused_multi`] on its own: every
 /// block executes the same body at the same local coordinates against
 /// the same data, and segments write disjoint outputs.
 ///
@@ -463,11 +477,6 @@ fn corpus_slot(
 /// Propagates launch-validation failures and injected launch-level
 /// faults from any kernel.
 ///
-/// What a packed wave hands back: per-segment `M×R` column-major
-/// results, the wave's single pipeline profile, and (when verified)
-/// one report per segment.
-pub type PackedWaveOutput = (Vec<Vec<f32>>, PipelineProfile, Option<Vec<VerifyReport>>);
-
 /// # Panics
 /// Panics on shape/geometry violations, buffer-length mismatches,
 /// column counts outside `1..=MAX_WEIGHT_COLUMNS`, or segments that
@@ -482,7 +491,7 @@ pub fn execute_fused_multi_packed_with(
     let mut slots: Vec<CorpusSlot> = Vec::new();
     let mut a_index: HashMap<u64, usize> = HashMap::new();
     let mut b_index: HashMap<u64, usize> = HashMap::new();
-    let mut kernels: Vec<FusedMultiWeight> = Vec::with_capacity(segs.len());
+    let mut kernels: Vec<FusedKernelSummation> = Vec::with_capacity(segs.len());
     let mut v_bufs = Vec::with_capacity(segs.len());
     let mut verify_bufs: Vec<VerifyBufs> = Vec::new();
 
@@ -497,10 +506,6 @@ pub fn execute_fused_multi_packed_with(
             "W must be a whole number of columns"
         );
         let r = seg.w_cols.len() / n;
-        assert!(
-            (1..=MAX_WEIGHT_COLUMNS).contains(&r),
-            "weight columns {r} out of range 1..={MAX_WEIGHT_COLUMNS}"
-        );
         let bw = Bandwidth { h: seg.h };
         let _ = bw.inv_2h2(); // validates h
 
@@ -533,8 +538,9 @@ pub fn execute_fused_multi_packed_with(
         let w_buf = dev.upload(seg.w_cols);
         let v_buf = dev.alloc(m * r);
         v_bufs.push((v_buf, m, r));
-        let mut kern = FusedMultiWeight::new(ops, a2_buf, b2_buf, w_buf, v_buf, seg.shape, bw, r)
-            .with_geometry(*geometry);
+        let mut kern =
+            FusedKernelSummation::new_multi(ops, a2_buf, b2_buf, w_buf, v_buf, seg.shape, bw, r)
+                .with_geometry(*geometry);
         if verify {
             let vb = VerifyBufs {
                 checksum: dev.alloc(r * (m / geometry.block_m) * CHECKSUM_SLOT_WORDS),
@@ -609,7 +615,7 @@ pub fn execute_fused_multi_packed_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused_multi::{execute_fused_multi_verified_with, execute_fused_multi_with};
+    use crate::fused_multi::execute_fused_multi;
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed | 1;
@@ -673,8 +679,7 @@ mod tests {
 
     /// The tentpole invariant: a heterogeneous packed wave (distinct
     /// shapes, bandwidths, and column counts) is bit-identical to
-    /// serving each segment through the unpacked entry. All segments
-    /// keep `n ≤ 2·block_n`, the documented determinism envelope.
+    /// serving each segment through the unpacked entry.
     #[test]
     fn packed_wave_is_bit_identical_to_unpacked_segments() {
         let geo = TileGeometry::paper_default();
@@ -719,8 +724,8 @@ mod tests {
         assert_eq!(prof.kernels.len(), 2 * segs.len() + 1);
         for (i, s) in segs.iter().enumerate() {
             let mut solo = GpuDevice::gtx970();
-            let (want, _) =
-                execute_fused_multi_with(&mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None)
+            let (want, _, _) =
+                execute_fused_multi(&mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None, false)
                     .unwrap();
             assert_eq!(packed[i].len(), want.len());
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
@@ -768,11 +773,12 @@ mod tests {
                 reports[i]
             );
             let mut solo = GpuDevice::gtx970();
-            let (want, _, rep) = execute_fused_multi_verified_with(
-                &mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None,
-            )
-            .unwrap();
-            assert!(!rep.corruption_detected());
+            let (want, _, rep) =
+                execute_fused_multi(&mut solo, &geo, s.shape, s.h, &s.a, &s.b, &s.w, None, true)
+                    .unwrap();
+            assert!(!rep
+                .expect("verified entry builds a report")
+                .corruption_detected());
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
                 assert_eq!(g.to_bits(), x.to_bits(), "seg {i} idx {j}");
             }
@@ -837,9 +843,10 @@ mod tests {
         .enumerate()
         {
             let mut solo = GpuDevice::gtx970();
-            let (want, _) =
-                execute_fused_multi_with(&mut solo, &geo, s.shape, s.h, &s.a, my_b, my_w, *my_a2)
-                    .unwrap();
+            let (want, _, _) = execute_fused_multi(
+                &mut solo, &geo, s.shape, s.h, &s.a, my_b, my_w, *my_a2, false,
+            )
+            .unwrap();
             for (j, (g, x)) in packed[i].iter().zip(want.iter()).enumerate() {
                 assert_eq!(g.to_bits(), x.to_bits(), "seg {i} idx {j}");
             }
@@ -886,8 +893,8 @@ mod tests {
         let mut solo_dram = 0u64;
         for sp in &specs {
             let mut solo = GpuDevice::gtx970();
-            let (_, p) = execute_fused_multi_with(
-                &mut solo, &geo, sp.shape, sp.h, sp.a, sp.b, sp.w_cols, None,
+            let (_, p, _) = execute_fused_multi(
+                &mut solo, &geo, sp.shape, sp.h, sp.a, sp.b, sp.w_cols, None, false,
             )
             .unwrap();
             solo_time += p.kernels.iter().map(|k| k.timing.time_s).sum::<f64>();

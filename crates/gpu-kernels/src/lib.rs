@@ -23,15 +23,17 @@
 //!   [`sgemm::VendorSgemm`] model.
 //! * [`aux_kernels`] — squared-norm, kernel-evaluation and
 //!   evaluation+summation kernels (the unfused pipeline stages).
-//! * [`fused`] — Algorithm 2: fused kernel summation with the
-//!   three-level reduction (intra-thread, intra-block, atomic
-//!   inter-block), plus the ABFT-verified variant (checksum column,
-//!   shared-memory audit, γ re-fold; DESIGN.md §11).
-//! * [`fused_multi`] — the multi-weight serving kernel and the
-//!   `execute_fused_multi[_verified]` batched entries.
+//! * [`fused`] — Algorithm 2: the one fused kernel,
+//!   [`FusedKernelSummation`], with the three-level reduction
+//!   (intra-thread, intra-block, atomic inter-block) over `R` weight
+//!   columns, plus the ABFT-verified variant (checksum column,
+//!   shared-memory audit, γ re-fold; DESIGN.md §11). Two
+//!   constructors: the paper's single-weight `new` and the
+//!   multi-weight `new_multi`.
+//! * [`fused_multi`] — the `execute_fused_multi` batched serving entry.
 //! * [`fused_multi_packed`] — horizontal fusion: many unrelated small
 //!   queries packed into one launch behind a per-block routing table
-//!   (block index → segment descriptor), with plan-cache-aware upload
+//!   (block index → segment kernel), with plan-cache-aware upload
 //!   deduplication and per-segment ABFT reports.
 //! * [`oracle`] — the geometry-aware bit-exact CPU replay of the fused
 //!   kernel's reduction order (the differential-test contract).
@@ -58,12 +60,10 @@ pub mod pipelines;
 pub mod sgemm;
 pub mod small_micro;
 
-pub use fused::{FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS};
-pub use fused_multi::{
-    execute_fused_multi, execute_fused_multi_verified, execute_fused_multi_verified_with,
-    execute_fused_multi_with, FusedMultiWeight, FUSED_MULTI_PIPELINE,
-    FUSED_MULTI_VERIFIED_PIPELINE, MAX_WEIGHT_COLUMNS,
+pub use fused::{
+    FusedKernelSummation, VerifyBufs, VerifyReport, CHECKSUM_SLOT_WORDS, MAX_WEIGHT_COLUMNS,
 };
+pub use fused_multi::{execute_fused_multi, FUSED_MULTI_PIPELINE, FUSED_MULTI_VERIFIED_PIPELINE};
 pub use fused_multi_packed::{
     execute_fused_multi_packed_with, FusedMultiPacked, PackedSegmentSpec, RoutingTable,
     FUSED_MULTI_PACKED_PIPELINE, FUSED_MULTI_PACKED_VERIFIED_PIPELINE,

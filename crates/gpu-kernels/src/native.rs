@@ -3,8 +3,7 @@
 //! The warp interpreter runs every warp instruction of Algorithm 2
 //! through `[[f32; 4]; 32]` lane arrays. Without a fault plan, counters
 //! or ABFT there is nothing to observe per warp, so
-//! [`FusedKernelSummation`](crate::fused::FusedKernelSummation),
-//! [`FusedMultiWeight`](crate::fused_multi::FusedMultiWeight) and
+//! [`FusedKernelSummation`](crate::fused::FusedKernelSummation) and
 //! [`FusedMultiPacked`](crate::fused_multi_packed::FusedMultiPacked)
 //! hand their launches to [`run`] instead (through
 //! `Kernel::execute_native`). It computes one row group (`by`) at a

@@ -4,6 +4,10 @@
 //! schedule — the same reduction-order contract the serving ladder's
 //! CPU/GPU cross-checks rely on.
 //!
+//! At every lattice point the multi-weight constructor at `R = 1` must
+//! also build the paper kernel's launch exactly: the same `V` bits,
+//! counters, memory traffic and resources.
+//!
 //! The shapes here are compact so the sweep stays debug-build fast;
 //! the CI `tune-bench` job repeats the same check on the full smoke
 //! grid in release through the tuner's admission gate
@@ -12,10 +16,11 @@
 
 use ks_gpu_kernels::aux_kernels::Bandwidth;
 use ks_gpu_kernels::fused::FusedKernelSummation;
-use ks_gpu_kernels::fused_multi::FusedMultiWeight;
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
 use ks_gpu_kernels::{fused_multi_oracle, fused_oracle, TileGeometry};
+use ks_gpu_sim::buffer::BufId;
 use ks_gpu_sim::config::DeviceConfig;
+use ks_gpu_sim::kernel::Kernel;
 use ks_gpu_sim::GpuDevice;
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -38,7 +43,8 @@ fn host_norms(pts: &[f32], rows: usize, k: usize) -> Vec<f32> {
 
 /// Runs every feasible lattice geometry that divides `shape` through
 /// the full-device sequential schedule and asserts bit-identity with
-/// the oracle. Returns how many geometries were exercised.
+/// the oracle, and that the multi-weight constructor at `R = 1` builds
+/// the identical launch. Returns how many geometries were exercised.
 fn sweep_shape(shape: GemmShape, seed: u64) -> usize {
     let bw = Bandwidth { h: 1.0 };
     let a = rand_vec(shape.m * shape.k, seed);
@@ -52,22 +58,26 @@ fn sweep_shape(shape: GemmShape, seed: u64) -> usize {
         if !geo.divides(shape.m, shape.n, shape.k) {
             continue;
         }
-        let mut dev = GpuDevice::gtx970();
-        let ops = GemmOperands {
-            a: dev.upload(&a),
-            b: dev.upload(&b),
+        // Runs the kernel `build` makes on a fresh device; returns it
+        // with its counted profile and `V`.
+        let run = |build: &dyn Fn(GemmOperands, [BufId; 4]) -> FusedKernelSummation| {
+            let mut dev = GpuDevice::gtx970();
+            let ops = GemmOperands {
+                a: dev.upload(&a),
+                b: dev.upload(&b),
+            };
+            let bufs = [
+                dev.upload(&a2),
+                dev.upload(&b2),
+                dev.upload(&w),
+                dev.alloc(shape.m),
+            ];
+            let kern = build(ops, bufs).with_geometry(geo);
+            let prof = dev.run_counted(&kern).unwrap();
+            (kern, prof, dev.download(bufs[3]))
         };
-        let (ba2, bb2, bw_buf, bv) = (
-            dev.upload(&a2),
-            dev.upload(&b2),
-            dev.upload(&w),
-            dev.alloc(shape.m),
-        );
-        dev.run_counted(
-            &FusedKernelSummation::new(ops, ba2, bb2, bw_buf, bv, shape, bw).with_geometry(geo),
-        )
-        .unwrap();
-        let got = dev.download(bv);
+        let (paper, paper_prof, got) =
+            run(&|ops, [a2, b2, w, v]| FusedKernelSummation::new(ops, a2, b2, w, v, shape, bw));
         let want = fused_oracle(&geo, &a, &b, &a2, &b2, &w, shape.m, shape.n, shape.k, bw.h);
         for (i, (g, x)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!(
@@ -79,6 +89,22 @@ fn sweep_shape(shape: GemmShape, seed: u64) -> usize {
                 shape.k
             );
         }
+
+        // R = 1 through the multi-weight constructor: the same launch.
+        let (multi, multi_prof, multi_v) = run(&|ops, [a2, b2, w, v]| {
+            FusedKernelSummation::new_multi(ops, a2, b2, w, v, shape, bw, 1)
+        });
+        let ctx = format!("{geo} shape {}x{}x{}", shape.m, shape.n, shape.k);
+        assert!(
+            multi_v
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(got.iter().map(|x| x.to_bits())),
+            "{ctx}: R=1 V bits differ"
+        );
+        assert_eq!(multi_prof.counters, paper_prof.counters, "{ctx}");
+        assert_eq!(multi_prof.mem, paper_prof.mem, "{ctx}");
+        assert_eq!(multi.resources(), paper.resources(), "{ctx}");
         exercised += 1;
     }
     exercised
@@ -153,7 +179,8 @@ fn multi_weight_lattice_matches_the_multi_oracle() {
             dev.alloc(shape.m * r),
         );
         dev.run_counted(
-            &FusedMultiWeight::new(ops, ba2, bb2, bw_buf, bv, shape, bw, r).with_geometry(geo),
+            &FusedKernelSummation::new_multi(ops, ba2, bb2, bw_buf, bv, shape, bw, r)
+                .with_geometry(geo),
         )
         .unwrap();
         let got = dev.download(bv);

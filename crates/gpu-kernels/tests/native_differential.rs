@@ -14,7 +14,6 @@
 
 use ks_gpu_kernels::aux_kernels::Bandwidth;
 use ks_gpu_kernels::fused::{FusedKernelSummation, Reduction};
-use ks_gpu_kernels::fused_multi::FusedMultiWeight;
 use ks_gpu_kernels::fused_multi_packed::FusedMultiPacked;
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
 use ks_gpu_kernels::{SmemLayout, TileGeometry, VerifyBufs, CHECKSUM_SLOT_WORDS};
@@ -192,7 +191,7 @@ fn multi_weight_native_matches_the_interpreter() {
             let p = Problem::new(shape, r, 0.7, 500 + r as u64);
             let (got, want) = native_and_interpreted(|dev| {
                 let bufs = upload(dev, &p);
-                let kern = FusedMultiWeight::new(
+                let kern = FusedKernelSummation::new_multi(
                     bufs.ops, bufs.a2, bufs.b2, bufs.w, bufs.v, p.shape, p.bw, r,
                 )
                 .with_geometry(geo);
@@ -256,7 +255,7 @@ fn packed_native_matches_the_interpreter() {
         let mut outs = Vec::new();
         for p in &problems {
             let bufs = upload(dev, p);
-            kernels.push(FusedMultiWeight::new(
+            kernels.push(FusedKernelSummation::new_multi(
                 bufs.ops, bufs.a2, bufs.b2, bufs.w, bufs.v, p.shape, p.bw, p.r,
             ));
             outs.push(bufs.v);

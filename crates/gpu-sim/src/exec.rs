@@ -10,6 +10,8 @@
 //! run in parallel across host threads (rayon), mirroring independent
 //! CTAs on different SMs.
 
+use std::ops::Range;
+
 use rayon::prelude::*;
 
 use crate::buffer::{BufId, GlobalMem};
@@ -304,29 +306,32 @@ impl<'a, 'b> BlockCtx<'a, 'b> {
 /// Runs `f(linear, block)` over every block of `grid` in parallel,
 /// where `linear` is the block's launch-order index.
 ///
-/// A 2-D (or 3-D) grid is split at whole grid rows: each work item
-/// runs one row's blocks in ascending `x`. The fused kernels' blocks
-/// of one row group (`by`) all `atomicAdd` into the same `V` rows, so
-/// this fixes their fold order to the sequential launch order at any
-/// thread count. A 1-D grid keeps one block per item. Its kernels
-/// either write disjoint outputs (norms, partial reduction) or are
-/// packed launches, whose segments' rows are not rows of the launch
-/// grid; the serve layer keeps at most two atomic contributors per
-/// packed output element, and two adds into a zeroed `V` give the
-/// same bits in either order. A 2-D grid of a single row looks like a
-/// 1-D grid here and keeps per-block items too.
-fn for_each_block(grid: Dim3, f: impl Fn(u64, Dim3) + Sync + Send) {
-    if grid.y == 1 && grid.z == 1 {
-        (0..grid.x)
-            .into_par_iter()
-            .for_each(|x| f(u64::from(x), Dim3::new(x, 0, 0)));
-        return;
-    }
+/// Each work item runs one row of blocks in ascending launch order:
+/// the kernel's declared [`Kernel::block_rows`] if any, else the grid
+/// rows of a 2-D (or 3-D) grid and single blocks of a 1-D grid. The
+/// fused kernels declare one row per row group (`by`), whose blocks
+/// all `atomicAdd` into the same `V` rows, so their fold order is the
+/// sequential launch order at any thread count, whether the grid has
+/// one row (and looks 1-D) or is a packed launch of many segments.
+/// Undeclared 1-D kernels write disjoint outputs.
+fn for_each_block(grid: Dim3, rows: Option<Vec<Range<u64>>>, f: impl Fn(u64, Dim3) + Sync + Send) {
     let (gx, gy) = (u64::from(grid.x), u64::from(grid.y));
-    (0..gy * u64::from(grid.z)).into_par_iter().for_each(|row| {
-        let (y, z) = ((row % gy) as u32, (row / gy) as u32);
-        for x in 0..grid.x {
-            f(row * gx + u64::from(x), Dim3::new(x, y, z));
+    let rows = rows.unwrap_or_else(|| {
+        let len = if gy == 1 && grid.z == 1 { 1 } else { gx };
+        (0..gx * gy * u64::from(grid.z))
+            .step_by(len as usize)
+            .map(|start| start..start + len)
+            .collect()
+    });
+    debug_assert_eq!(
+        rows.iter().map(|row| row.end - row.start).sum::<u64>(),
+        gx * gy * u64::from(grid.z),
+        "block rows must partition the grid"
+    );
+    rows.into_par_iter().for_each(|row| {
+        for i in row {
+            let (x, y, z) = (i % gx, i / gx % gy, i / (gx * gy));
+            f(i, Dim3::new(x as u32, y as u32, z as u32));
         }
     });
 }
@@ -335,7 +340,7 @@ fn for_each_block(grid: Dim3, f: impl Fn(u64, Dim3) + Sync + Send) {
 /// threads (see [`for_each_block`] for the partition). No counters are
 /// collected (use [`crate::device::GpuDevice::run_counted`] for that).
 pub fn run_functional(mem: &GlobalMem, kernel: &dyn Kernel, smem_words: usize) {
-    for_each_block(kernel.launch_config().grid, |_, b| {
+    for_each_block(kernel.launch_config().grid, kernel.block_rows(), |_, b| {
         let mut ctx = BlockCtx::new(mem, smem_words, None);
         kernel.execute_block(b, &mut ctx);
     });
@@ -350,7 +355,7 @@ pub fn run_functional_with_faults(
     smem_words: usize,
     plan: &LaunchFaultPlan,
 ) {
-    for_each_block(kernel.launch_config().grid, |i, b| {
+    for_each_block(kernel.launch_config().grid, kernel.block_rows(), |i, b| {
         let mut ctx = BlockCtx::new(mem, smem_words, None);
         if let Some(f) = plan.block_faults(i) {
             ctx.arm_faults(f);
@@ -555,7 +560,7 @@ mod tests {
                     .build()
                     .unwrap();
                 pool.install(|| {
-                    for_each_block(grid, |i, b| seen.lock().unwrap().push((i, b)));
+                    for_each_block(grid, None, |i, b| seen.lock().unwrap().push((i, b)));
                 });
                 let mut seen = seen.into_inner().unwrap();
                 seen.sort_by_key(|&(i, _)| i);
@@ -572,9 +577,12 @@ mod tests {
     /// Blocks `(x, y)` add `[1e8, 1, -1e8, 1, …][x]` into row `y`'s
     /// 32 words: float addition is not associative, so the result
     /// exposes the order in which a grid row's blocks ran.
+    /// With `declare_rows`, the probe declares its grid rows through
+    /// [`Kernel::block_rows`].
     struct OrderProbe {
         acc: BufId,
         grid: Dim3,
+        declare_rows: bool,
     }
 
     impl Kernel for OrderProbe {
@@ -599,27 +607,47 @@ mod tests {
         fn block_traffic(&self, b: Dim3, sink: &mut TrafficSink) {
             sink.global_atomic(self.acc, &full_warp_idx(|l| b.y as usize * 32 + l));
         }
+        fn block_rows(&self) -> Option<Vec<Range<u64>>> {
+            let gx = u64::from(self.grid.x);
+            self.declare_rows.then(|| {
+                (0..u64::from(self.grid.y))
+                    .map(|y| y * gx..(y + 1) * gx)
+                    .collect()
+            })
+        }
     }
 
-    #[test]
-    fn grid_rows_fold_in_launch_order_at_any_thread_count() {
-        let grid = Dim3::new_2d(16, 6);
+    /// Runs the probe at every thread count and checks each row folded
+    /// in launch order: 1e8 absorbs the 1 before it and cancels, so
+    /// each group of four leaves 1 (reordered, up to 8 survive).
+    fn assert_launch_order_folds(grid: Dim3, declare_rows: bool) {
         let run = |threads: usize| {
             let mut mem = GlobalMem::new();
-            let acc = mem.alloc(32 * 6);
+            let acc = mem.alloc(32 * grid.y as usize);
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| run_functional(&mem, &OrderProbe { acc, grid }, 0));
+            let probe = OrderProbe {
+                acc,
+                grid,
+                declare_rows,
+            };
+            pool.install(|| run_functional(&mem, &probe, 0));
             mem.download(acc)
         };
-        // Launch order: 1e8 absorbs the 1 before it and cancels, so
-        // each group of four leaves 1 (reordered, up to 8 survive).
-        let want = vec![1.0f32; 32 * 6];
+        let want = vec![1.0f32; 32 * grid.y as usize];
         for threads in [1, 2, 3, 5, 7] {
-            assert_eq!(run(threads), want, "{threads} threads");
+            assert_eq!(run(threads), want, "{grid:?} at {threads} threads");
         }
+    }
+
+    #[test]
+    fn grid_rows_fold_in_launch_order_at_any_thread_count() {
+        assert_launch_order_folds(Dim3::new_2d(16, 6), false);
+        // A 2-D grid of one row is a 1-D grid to the executor; only the
+        // kernel's declaration keeps its blocks on one thread.
+        assert_launch_order_folds(Dim3::new_2d(16, 1), true);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! `ks-gpu-kernels`; consistency between them is enforced by tests
 //! that run both on small problems and compare every counter.
 
+use std::ops::Range;
+
 use crate::buffer::{BufId, GlobalMem};
 use crate::config::DeviceConfig;
 use crate::dim::{Dim3, LaunchConfig};
@@ -161,6 +163,17 @@ pub trait Kernel: Sync {
     fn execute_native(&self, mem: &GlobalMem) -> bool {
         let _ = mem;
         false
+    }
+
+    /// Launch-order runs of blocks that fold into the same outputs
+    /// (blocks that `atomicAdd` into shared rows), or `None` (the
+    /// default). The functional interpreter runs each run's blocks on
+    /// one host thread in ascending launch order, so such folds never
+    /// depend on the thread count. Runs partition `0..total_blocks`.
+    /// Without a declaration a 2-D grid splits at grid rows and a 1-D
+    /// grid runs one block per task.
+    fn block_rows(&self) -> Option<Vec<Range<u64>>> {
+        None
     }
 
     /// True if every block issues the identical compute and

@@ -16,7 +16,7 @@
 use ks_analyze::static_::analyze_spec;
 use ks_gpu_kernels::aux_kernels::Bandwidth;
 use ks_gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
-use ks_gpu_kernels::{FusedMultiWeight, TileGeometry};
+use ks_gpu_kernels::{FusedKernelSummation, TileGeometry};
 use ks_gpu_sim::buffer::GlobalMem;
 use ks_gpu_sim::config::DeviceConfig;
 use ks_gpu_sim::kernel::Kernel;
@@ -105,8 +105,9 @@ pub fn check_shape(dev: &DeviceConfig, key: AdmissionKey) -> AdmissionVerdict {
     let b2 = mem.alloc_virtual(shape.n);
     let w = mem.alloc_virtual(shape.n * key.r);
     let v = mem.alloc_virtual(shape.m * key.r);
-    let kernel = FusedMultiWeight::new(ops, a2, b2, w, v, shape, Bandwidth { h: 1.0 }, key.r)
-        .with_geometry(key.geometry);
+    let kernel =
+        FusedKernelSummation::new_multi(ops, a2, b2, w, v, shape, Bandwidth { h: 1.0 }, key.r)
+            .with_geometry(key.geometry);
     match kernel.access_spec() {
         Some(spec) if spec.is_affine() => {
             let (report, _) = analyze_spec(dev, &kernel, &spec);

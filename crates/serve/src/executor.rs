@@ -15,10 +15,7 @@ use ks_core::plan::SourcePlan;
 use ks_core::problem::PointSet;
 use ks_core::{FusedCpuConfig, GaussianKernel};
 use ks_gpu_kernels::gemm_engine::GemmShape;
-use ks_gpu_kernels::{
-    execute_fused_multi_verified_with, execute_fused_multi_with, TileGeometry, VerifyReport,
-    MAX_WEIGHT_COLUMNS,
-};
+use ks_gpu_kernels::{execute_fused_multi, TileGeometry, VerifyReport, MAX_WEIGHT_COLUMNS};
 use ks_gpu_sim::device::GpuDevice;
 use ks_gpu_sim::kernel::LaunchError;
 use ks_gpu_sim::profiler::PipelineProfile;
@@ -153,7 +150,7 @@ pub(crate) fn execute_gpu(
     geo: &TileGeometry,
 ) -> Result<(Vec<Vec<f32>>, PipelineProfile), LaunchError> {
     let batch = pad_batch(plan, targets, weights, plan_hit, geo);
-    let (v, prof) = execute_fused_multi_with(
+    let (v, prof, _) = execute_fused_multi(
         dev,
         geo,
         batch.shape,
@@ -162,6 +159,7 @@ pub(crate) fn execute_gpu(
         &batch.b,
         &batch.w_cols,
         batch.a2.as_deref(),
+        false,
     )?;
     Ok((batch.unpad(&v), prof))
 }
@@ -184,7 +182,7 @@ pub(crate) fn execute_gpu_verified(
     geo: &TileGeometry,
 ) -> Result<(Vec<Vec<f32>>, PipelineProfile, VerifyReport), LaunchError> {
     let batch = pad_batch(plan, targets, weights, plan_hit, geo);
-    let (v, prof, report) = execute_fused_multi_verified_with(
+    let (v, prof, report) = execute_fused_multi(
         dev,
         geo,
         batch.shape,
@@ -193,7 +191,9 @@ pub(crate) fn execute_gpu_verified(
         &batch.b,
         &batch.w_cols,
         batch.a2.as_deref(),
+        true,
     )?;
+    let report = report.expect("the verified pipeline always builds a report");
     Ok((batch.unpad(&v), prof, report))
 }
 

@@ -19,10 +19,10 @@
 //!
 //! Eligibility is conservative by construction:
 //!
-//! * `gx ≤ 2` column blocks per segment — at most two atomic
-//!   contributors fold into each output element, which is the
-//!   documented determinism envelope of the fused kernel's relaxed
-//!   atomic drain (two-operand float addition commutes).
+//! * `gx ≤ 2` column blocks per segment ([`PACK_MAX_COL_BLOCKS`]) —
+//!   packing targets narrow queries. Result bits do not depend on
+//!   this bound: the packed kernel folds each segment row group into
+//!   `V` in launch order at any thread count.
 //! * a small per-segment block budget ([`PACK_MAX_SEGMENT_BLOCKS`]) —
 //!   packing exists to fuse *underfilling* launches; a grid that
 //!   already saturates the device gains nothing and only delays its
@@ -47,9 +47,8 @@ use crate::executor::{pad_batch, PaddedBatch};
 pub const PACK_MAX_SEGMENT_BLOCKS: usize = 16;
 
 /// Largest per-segment column-block count (`gx`) the planner packs:
-/// with `gx ≤ 2` at most two blocks atomically fold into any output
-/// element, the envelope within which the fused kernel's relaxed
-/// atomic drain is bit-deterministic.
+/// packing targets narrow queries. Result bits do not depend on it,
+/// since packed launches fold each segment row group in launch order.
 pub const PACK_MAX_COL_BLOCKS: usize = 2;
 
 /// Whether a batch of raw shape `(m, n)` is pack-eligible under `geo`.

@@ -115,3 +115,147 @@ fn fault_plan_v_bits_are_independent_of_thread_count() {
         assert_eq!(t, tally, "{threads} threads");
     }
 }
+
+// ---- Single-row-group launches: atomics fold in ascending bx --------
+
+use kernel_summation::gpu_kernels::aux_kernels::Bandwidth;
+use kernel_summation::gpu_kernels::gemm_engine::{GemmOperands, GemmShape};
+use kernel_summation::gpu_kernels::{
+    FusedKernelSummation, FusedMultiPacked, VerifyBufs, CHECKSUM_SLOT_WORDS,
+};
+use kernel_summation::gpu_sim::buffer::BufId;
+
+fn lcg_vec(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f32 / (1u64 << 31) as f32) * 0.5
+        })
+        .collect()
+}
+
+/// Uploads one verified fused problem with `r` weight columns and
+/// returns its kernel (the paper constructor at `r = 1`) plus the
+/// buffers whose bits must not depend on the thread count.
+fn verified_kernel(
+    dev: &mut GpuDevice,
+    shape: GemmShape,
+    r: usize,
+    seed: u64,
+) -> (FusedKernelSummation, Vec<BufId>) {
+    let (m, n, k) = (shape.m, shape.n, shape.k);
+    let a = lcg_vec(m * k, seed);
+    let b = lcg_vec(k * n, seed + 1);
+    let norms = |pts: &[f32], rows: usize| -> Vec<f32> {
+        (0..rows)
+            .map(|i| pts[i * k..(i + 1) * k].iter().map(|v| v * v).sum())
+            .collect()
+    };
+    let ops = GemmOperands {
+        a: dev.upload(&a),
+        b: dev.upload(&b),
+    };
+    let a2 = dev.upload(&norms(&a, m));
+    let b2 = dev.upload(&norms(&b, n));
+    let w = dev.upload(&lcg_vec(n * r, seed + 2));
+    let v = dev.alloc(m * r);
+    let vb = VerifyBufs {
+        checksum: dev.alloc(r * (m / 128) * CHECKSUM_SLOT_WORDS),
+        flag: dev.alloc(CHECKSUM_SLOT_WORDS),
+    };
+    let bw = Bandwidth { h: 0.9 };
+    let kern = if r == 1 {
+        FusedKernelSummation::new(ops, a2, b2, w, v, shape, bw)
+    } else {
+        FusedKernelSummation::new_multi(ops, a2, b2, w, v, shape, bw, r)
+    };
+    (kern.with_verify(vb), vec![v, vb.checksum])
+}
+
+/// Runs `launch` in a pool of `threads` workers on a fresh GTX970 and
+/// returns the bits of the buffers it names.
+fn run_bits(
+    threads: usize,
+    launch: impl Fn(&mut GpuDevice) -> Vec<BufId> + Send + Sync,
+) -> Vec<Vec<u32>> {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool builds");
+    pool.install(|| {
+        let mut dev = GpuDevice::gtx970();
+        let outs = launch(&mut dev);
+        outs.iter()
+            .map(|&buf| dev.download(buf).iter().map(|x| x.to_bits()).collect())
+            .collect()
+    })
+}
+
+#[test]
+fn single_row_group_verified_v_bits_are_independent_of_thread_count() {
+    // M = block_m: one grid row of 16 column blocks, all folding into
+    // the same 128 V rows. ABFT sends the launch down the interpreter.
+    let shape = GemmShape {
+        m: 128,
+        n: 2048,
+        k: 32,
+    };
+    let launch = |dev: &mut GpuDevice| {
+        let (kern, outs) = verified_kernel(dev, shape, 1, 21);
+        dev.run(&kern).expect("launch succeeds");
+        outs
+    };
+    let one = run_bits(1, launch);
+    for threads in [2, 3, 7] {
+        assert!(
+            run_bits(threads, launch) == one,
+            "V bits differ between 1 and {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn packed_verified_v_bits_are_independent_of_thread_count() {
+    // Packed segments with many column blocks per row: each segment
+    // row is a contiguous run of the packed launch's linear blocks.
+    let shapes = [
+        (
+            GemmShape {
+                m: 128,
+                n: 1024,
+                k: 16,
+            },
+            2,
+        ),
+        (
+            GemmShape {
+                m: 256,
+                n: 768,
+                k: 32,
+            },
+            1,
+        ),
+    ];
+    let launch = |dev: &mut GpuDevice| {
+        let mut kernels = Vec::new();
+        let mut outs = Vec::new();
+        for (i, &(shape, r)) in shapes.iter().enumerate() {
+            let (kern, bufs) = verified_kernel(dev, shape, r, 40 + 10 * i as u64);
+            kernels.push(kern);
+            outs.extend(bufs);
+        }
+        dev.run(&FusedMultiPacked::new(kernels))
+            .expect("launch succeeds");
+        outs
+    };
+    let one = run_bits(1, launch);
+    for threads in [2, 3, 7] {
+        assert!(
+            run_bits(threads, launch) == one,
+            "V bits differ between 1 and {threads} threads"
+        );
+    }
+}
