@@ -23,57 +23,26 @@
 //! * default stream: 2000 queries; `--smoke`: 500 (CI-sized);
 //! * `--seed S`: master seed of the workload and fault schedule
 //!   (default 42);
-//! * `--json PATH`: write the [`ChaosMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`].
 
-use std::time::Instant;
-
-use ks_bench::metrics::{path_arg, ChaosMetrics, SCHEMA_VERSION};
-use ks_blas::{Layout, Matrix};
-use ks_core::problem::KernelSumProblem;
-use ks_core::{solve_multi_fused, FusedCpuConfig, GaussianKernel};
-use ks_gpu_sim::FaultSpec;
-use ks_serve::{
-    generate_queries, Query, ServeBackend, ServeConfig, Server, Submit, Ticket, WorkloadConfig,
+use ks_bench::harness::{
+    finish, reference, serve_stream, within_tol, BenchArgs, BenchDoc, Op, Unit,
 };
+use ks_gpu_sim::FaultSpec;
+use ks_serve::{generate_queries, ServeBackend, ServeConfig, WorkloadConfig};
 
 /// Per-launch fault rates of the soak: expected data flips well above
-/// the ISSUE's 1e-3/launch floor, plus launch-level faults so the
-/// retry and breaker paths actually run.
+/// a 1e-3/launch floor, plus launch-level faults so the retry and
+/// breaker paths actually run.
 const SMEM_RATE: f64 = 0.05;
 const REG_RATE: f64 = 0.05;
 const SM_LOSS_RATE: f64 = 0.01;
 const WATCHDOG_RATE: f64 = 0.005;
 
-/// The single-shot CPU fused answer for one query — the same solver
-/// configuration the server's safe harbor runs, so CPU-rung
-/// completions must match it bit for bit.
-fn reference(q: &Query) -> Vec<f32> {
-    let p = KernelSumProblem::builder()
-        .sources(q.sources.points().clone())
-        .targets((*q.targets).clone())
-        .unit_weights()
-        .kernel(GaussianKernel { h: q.h })
-        .build();
-    let w = Matrix::from_fn(q.weights.len(), 1, Layout::RowMajor, |j, _| q.weights[j]);
-    let v = solve_multi_fused(&p, &w, &FusedCpuConfig::default());
-    (0..v.rows()).map(|i| v.get(i, 0)).collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = path_arg(&args, "--seed").map_or(42, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --seed value {v}");
-            std::process::exit(2);
-        })
-    });
-    let queries: usize = path_arg(&args, "--queries").map_or(if smoke { 500 } else { 2000 }, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --queries value {v}");
-            std::process::exit(2);
-        })
-    });
+    let args = BenchArgs::from_env("chaos_bench", &[("--queries", "N"), ("--seed", "S")]);
+    let seed: u64 = args.get("--seed", 42);
+    let queries: usize = args.get("--queries", if args.smoke { 500 } else { 2000 });
 
     let wl = WorkloadConfig {
         clients: 1,
@@ -92,8 +61,6 @@ fn main() {
 
     let mut cfg = ServeConfig {
         backend: ServeBackend::GpuResilient,
-        queue_capacity: stream.len(),
-        start_paused: true,
         ..ServeConfig::default()
     };
     cfg.device.fault = Some(FaultSpec {
@@ -107,41 +74,21 @@ fn main() {
         // ABFT coverage by design (DESIGN.md §11).
         dram_rate: 0.0,
     });
+    let (outcomes, report, wall_ms) = serve_stream(cfg, &stream);
 
-    let t0 = Instant::now();
-    let mut srv = Server::start(cfg);
-    let tickets: Vec<Ticket> = stream
-        .iter()
-        .map(|q| match srv.submit(q.clone()) {
-            Submit::Accepted(t) => t,
-            Submit::Rejected(_) => {
-                eprintln!("error: queue sized for the stream rejected a query");
-                std::process::exit(1);
-            }
-        })
-        .collect();
-    srv.resume();
-
-    let mut bit_exact = 0u64;
-    let mut tolerant = 0u64;
-    let mut silent_wrong = 0u64;
-    let mut errors = 0u64;
-    for (qi, (q, t)) in stream.iter().zip(&tickets).enumerate() {
-        match t.wait() {
+    let (mut bit_exact, mut tolerant, mut silent_wrong, mut errors) = (0u64, 0u64, 0u64, 0u64);
+    for (qi, (q, outcome)) in stream.iter().zip(&outcomes).enumerate() {
+        match outcome {
             Ok(got) => {
                 let want = reference(q);
                 assert_eq!(got.len(), want.len(), "query {qi}: result length");
-                let exact = got
+                if got
                     .iter()
-                    .zip(want.iter())
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
-                let close = got
-                    .iter()
-                    .zip(want.iter())
-                    .all(|(g, w)| (g - w).abs() <= 5e-3 * w.abs().max(1.0));
-                if exact {
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits())
+                {
                     bit_exact += 1;
-                } else if close {
+                } else if within_tol(got, &want, 5e-3) {
                     tolerant += 1;
                 } else {
                     silent_wrong += 1;
@@ -153,12 +100,7 @@ fn main() {
                 eprintln!("query {qi} surfaced: {e}");
             }
         }
-        if (qi + 1) % 100 == 0 {
-            eprintln!("checked {}/{} queries", qi + 1, stream.len());
-        }
     }
-    let report = srv.shutdown();
-    let wall_time_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let counters_consistent = report.attempts == report.batches + report.retries
         && report.submitted == report.accepted + report.rejected
@@ -167,37 +109,46 @@ fn main() {
         && report.expired + report.shed + report.failed == errors
         && report.internal_errors == 0;
 
-    let metrics = ChaosMetrics {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        smem_rate: SMEM_RATE,
-        reg_rate: REG_RATE,
-        sm_loss_rate: SM_LOSS_RATE,
-        watchdog_rate: WATCHDOG_RATE,
-        submitted: report.submitted,
-        rejected: report.rejected,
-        completed: report.completed,
-        errors,
-        bit_exact,
-        tolerant,
-        silent_wrong,
-        batches: report.batches,
-        attempts: report.attempts,
-        retries: report.retries,
-        fallbacks: report.fallbacks,
-        degraded_completions: report.degraded_completions,
-        corruption_detected: report.corruption_detected,
-        injected_faults: report.injected_faults,
-        undetected_injected: report.undetected_injected,
-        breaker_trips: report.breaker_trips,
-        breaker_resets: report.breaker_resets,
-        internal_errors: report.internal_errors,
-        counters_consistent,
-        wall_time_ms,
-    };
+    let mut doc = BenchDoc::new("chaos_bench", Some(seed), args.smoke);
+    for (name, rate) in [
+        ("smem_rate", SMEM_RATE),
+        ("reg_rate", REG_RATE),
+        ("sm_loss_rate", SM_LOSS_RATE),
+        ("watchdog_rate", WATCHDOG_RATE),
+    ] {
+        doc.record(name, rate, Unit::Frac);
+    }
+    for (name, value) in [
+        ("submitted", report.submitted),
+        ("rejected", report.rejected),
+        ("completed", report.completed),
+        ("errors", errors),
+        ("bit_exact", bit_exact),
+        ("tolerant", tolerant),
+        ("batches", report.batches),
+        ("attempts", report.attempts),
+        ("retries", report.retries),
+        ("fallbacks", report.fallbacks),
+        ("degraded_completions", report.degraded_completions),
+        ("corruption_detected", report.corruption_detected),
+        ("injected_faults", report.injected_faults),
+        ("undetected_injected", report.undetected_injected),
+        ("breaker_trips", report.breaker_trips),
+        ("breaker_resets", report.breaker_resets),
+        ("internal_errors", report.internal_errors),
+    ] {
+        doc.record(name, value as f64, Unit::Count);
+    }
+    doc.record("wall_time", wall_ms, Unit::Ms);
+    let wrong = silent_wrong as f64;
+    doc.gate("silent_wrong", wrong, Unit::Count, Op::Eq, 0.0);
+    doc.require("counters_consistent", counters_consistent);
+    if !counters_consistent {
+        eprintln!("ServeReport accounting is inconsistent: {report:?}");
+    }
 
     eprintln!(
-        "{} queries in {wall_time_ms:.0} ms: {bit_exact} bit-exact, {tolerant} in-tolerance, \
+        "{} queries in {wall_ms:.0} ms: {bit_exact} bit-exact, {tolerant} in-tolerance, \
          {errors} surfaced, {silent_wrong} silently wrong",
         report.submitted
     );
@@ -213,22 +164,5 @@ fn main() {
         report.breaker_resets,
         report.fallbacks
     );
-
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if silent_wrong > 0 {
-        eprintln!("FAIL: {silent_wrong} silently-wrong results");
-        std::process::exit(1);
-    }
-    if !counters_consistent {
-        eprintln!("FAIL: ServeReport accounting is inconsistent: {report:?}");
-        std::process::exit(1);
-    }
-    eprintln!("chaos soak passed: zero silently-wrong results, accounting consistent");
+    finish(&doc, args.json.as_deref());
 }

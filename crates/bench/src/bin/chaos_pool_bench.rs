@@ -28,19 +28,16 @@
 //! * default stream: 240 queries; `--smoke`: 96 (CI-sized);
 //! * `--seed S`: master seed of the workload and both fault schedules
 //!   (default 42);
-//! * `--json PATH`: write the [`ChaosPoolMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`].
 
-use std::time::Instant;
-
-use ks_bench::metrics::{path_arg, ChaosPoolMetrics, SCHEMA_VERSION};
-use ks_blas::{Layout, Matrix};
-use ks_core::problem::KernelSumProblem;
-use ks_core::{solve_multi_fused, FusedCpuConfig, GaussianKernel};
+use ks_bench::harness::{
+    bits_eq, finish, reference, serve_stream, within_tol, BenchArgs, BenchDoc, Op, Outcomes, Unit,
+};
 use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_gpu_sim::{LifecycleSpec, LinkFaultSpec};
 use ks_serve::{
     generate_queries, HealthConfig, PoolConfig, PoolDevice, PoolReport, Query, ServeBackend,
-    ServeConfig, ServeReport, Server, Submit, Ticket, WorkloadConfig,
+    ServeConfig, ServeReport, WorkloadConfig,
 };
 
 const DEVICES: usize = 4;
@@ -50,87 +47,38 @@ const SICK: usize = 1;
 /// Index of the member behind the lossy link (chaos pass).
 const LOSSY: usize = 2;
 
-/// The single-shot CPU fused answer for one query — the same solver
-/// configuration the pool's shard recovery runs.
-fn reference(q: &Query) -> Vec<f32> {
-    let p = KernelSumProblem::builder()
-        .sources(q.sources.points().clone())
-        .targets((*q.targets).clone())
-        .unit_weights()
-        .kernel(GaussianKernel { h: q.h })
-        .build();
-    let w = Matrix::from_fn(q.weights.len(), 1, Layout::RowMajor, |j, _| q.weights[j]);
-    let v = solve_multi_fused(&p, &w, &FusedCpuConfig::default());
-    (0..v.rows()).map(|i| v.get(i, 0)).collect()
-}
-
-fn quiet_devices(n: usize) -> Vec<PoolDevice> {
+/// `n` fault-free GTX970 pool members behind `link`.
+fn devices(n: usize, link: &Interconnect) -> Vec<PoolDevice> {
     (0..n)
         .map(|_| PoolDevice {
             device: DeviceConfig::gtx970(),
-            interconnect: Interconnect::pcie3_x16(),
+            interconnect: link.clone(),
             lifecycle: None,
         })
         .collect()
 }
 
-/// Throughput-pass devices sit on the fast fabric: at `r = 1` per
-/// batch the PCIe setup latency is a fixed per-shard charge that
-/// pool size cannot amortize, and the gate would measure the link,
-/// not the pool.
-fn fabric_devices(n: usize) -> Vec<PoolDevice> {
-    (0..n)
-        .map(|_| PoolDevice {
-            device: DeviceConfig::gtx970(),
-            interconnect: Interconnect::nvlink(),
-            lifecycle: None,
-        })
-        .collect()
-}
-
-fn pool_config(devices: Vec<PoolDevice>, health: HealthConfig, capacity: usize) -> PoolConfig {
-    PoolConfig {
-        devices,
-        queue_capacity: capacity,
-        plan_cache_capacity: 8,
-        shard_align: 128,
-        health,
-    }
-}
-
-/// Serves the stream through one pooled server (paused submission so
-/// batch composition is deterministic) and returns per-query outcomes
-/// plus the report.
+/// Serves the stream through one pooled server, one batch per query
+/// so every batch advances a lifecycle epoch.
 fn serve(
-    pool: PoolConfig,
-    backend: ServeBackend,
+    devices: Vec<PoolDevice>,
+    health: HealthConfig,
     stream: &[Query],
-) -> (Vec<Result<Vec<f32>, String>>, ServeReport) {
+) -> (Outcomes, ServeReport) {
     let cfg = ServeConfig {
-        backend,
-        wave: 1, // one batch per query: every batch advances an epoch
-        queue_capacity: stream.len(),
-        start_paused: true,
-        pool: Some(pool),
+        backend: ServeBackend::GpuFused { cpu_fallback: true },
+        wave: 1,
+        pool: Some(PoolConfig {
+            devices,
+            queue_capacity: stream.len(),
+            plan_cache_capacity: 8,
+            shard_align: 128,
+            health,
+        }),
         ..ServeConfig::default()
     };
-    let mut srv = Server::start(cfg);
-    let tickets: Vec<Ticket> = stream
-        .iter()
-        .map(|q| match srv.submit(q.clone()) {
-            Submit::Accepted(t) => t,
-            Submit::Rejected(_) => {
-                eprintln!("error: queue sized for the stream rejected a query");
-                std::process::exit(1);
-            }
-        })
-        .collect();
-    srv.resume();
-    let outcomes = tickets
-        .iter()
-        .map(|t| t.wait().map_err(|e| e.to_string()))
-        .collect();
-    (outcomes, srv.shutdown())
+    let (outcomes, report, _) = serve_stream(cfg, stream);
+    (outcomes, report)
 }
 
 fn pool_report(report: &ServeReport) -> &PoolReport {
@@ -141,20 +89,10 @@ fn pool_report(report: &ServeReport) -> &PoolReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = path_arg(&args, "--seed").map_or(42, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --seed value {v}");
-            std::process::exit(2);
-        })
-    });
-    let queries: usize = path_arg(&args, "--queries").map_or(if smoke { 96 } else { 240 }, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --queries value {v}");
-            std::process::exit(2);
-        })
-    });
+    let args = BenchArgs::from_env("chaos_pool_bench", &[("--queries", "N"), ("--seed", "S")]);
+    let seed: u64 = args.get("--seed", 42);
+    let queries: usize = args.get("--queries", if args.smoke { 96 } else { 240 });
+    let t0 = std::time::Instant::now();
 
     // Corpora sized so a 4-device pool shards every batch across all
     // members (640 rows = five 128-row tiles).
@@ -172,17 +110,17 @@ fn main() {
         seed,
     };
     let stream = generate_queries(&wl);
-    let t0 = Instant::now();
 
     // ---- Pass 1: chaos ------------------------------------------------
-    let mut devices = quiet_devices(DEVICES);
-    devices[SICK].lifecycle = Some(LifecycleSpec {
+    let pcie = Interconnect::pcie3_x16();
+    let mut chaos = devices(DEVICES, &pcie);
+    chaos[SICK].lifecycle = Some(LifecycleSpec {
         seed: seed ^ 0xF1A9,
         hang_rate: 1.0,
         recover_rate: 1.0,
         ..LifecycleSpec::default()
     });
-    devices[LOSSY].interconnect.fault = Some(LinkFaultSpec {
+    chaos[LOSSY].interconnect.fault = Some(LinkFaultSpec {
         seed: seed ^ 0x11F7,
         corrupt_rate: 0.3,
         timeout_rate: 0.1,
@@ -192,41 +130,86 @@ fn main() {
         // Odd cooldown: probes land on the flapper's healthy parity.
         probe_cooldown: 3,
     };
-    let (outcomes, report) = serve(
-        pool_config(devices, health, stream.len()),
-        ServeBackend::GpuFused { cpu_fallback: true },
-        &stream,
-    );
+    let (outcomes, report) = serve(chaos, health, &stream);
     let mut silent_wrong = 0u64;
     for (qi, (q, outcome)) in stream.iter().zip(&outcomes).enumerate() {
         let Ok(got) = outcome else { continue };
         let want = reference(q);
         assert_eq!(got.len(), want.len(), "query {qi}: result length");
-        let close = got
-            .iter()
-            .zip(want.iter())
-            .all(|(g, w)| (g - w).abs() <= 5e-3 * w.abs().max(1.0));
-        if !close {
+        if !within_tol(got, &want, 5e-3) {
             silent_wrong += 1;
             eprintln!("SILENT WRONG: query {qi} completed outside tolerance");
         }
-        if (qi + 1) % 50 == 0 {
-            eprintln!("checked {}/{} queries", qi + 1, stream.len());
-        }
     }
-    let pool = pool_report(&report).clone();
-    let shards_executed: u64 = pool.devices.iter().map(|d| d.executed).sum();
-    let evictions = pool.total_evictions();
-    let readmissions = pool.total_readmissions();
-    let lifecycle_hangs: u64 = pool.devices.iter().map(|d| d.lifecycle_hangs).sum();
-    let lifecycle_losses: u64 = pool.devices.iter().map(|d| d.lifecycle_losses).sum();
-    let link_crc_detected: u64 = pool.devices.iter().map(|d| d.link_crc_detected).sum();
-    let link_retransmits: u64 = pool.devices.iter().map(|d| d.link_retransmits).sum();
-    let link_timeouts = pool.total_link_timeouts();
-    let cpu_fallbacks = pool.total_fallbacks();
-    let accounting_consistent = report.submitted == report.accepted + report.rejected
-        && report.accepted == report.completed + report.expired + report.shed + report.failed
-        && report.internal_errors == 0;
+    let pool = pool_report(&report);
+    let sum = |f: fn(&ks_serve::DeviceReport) -> u64| pool.devices.iter().map(f).sum::<u64>();
+
+    let mut doc = BenchDoc::new("chaos_pool_bench", Some(seed), args.smoke);
+    doc.record("devices", DEVICES as f64, Unit::Count);
+    doc.record("queries", stream.len() as f64, Unit::Count);
+    for (name, value) in [
+        ("completed", report.completed),
+        ("shed", report.shed),
+        ("expired", report.expired),
+        ("lifecycle_hangs", sum(|d| d.lifecycle_hangs)),
+        ("lifecycle_losses", sum(|d| d.lifecycle_losses)),
+        ("link_timeouts", pool.total_link_timeouts()),
+        ("shards_dispatched", pool.shard_tasks),
+        ("cpu_fallbacks", pool.total_fallbacks()),
+    ] {
+        doc.record(format!("chaos.{name}"), value as f64, Unit::Count);
+    }
+    let count = |doc: &mut BenchDoc, name: &str, value: u64, op: Op, bound: f64| {
+        doc.gate(
+            format!("chaos.{name}"),
+            value as f64,
+            Unit::Count,
+            op,
+            bound,
+        );
+    };
+    count(&mut doc, "silent_wrong", silent_wrong, Op::Eq, 0.0);
+    // The pool never fails a batch.
+    count(&mut doc, "failed", report.failed, Op::Eq, 0.0);
+    // No shard is dropped across drain/evict/readmit.
+    let executed = sum(|d| d.executed);
+    count(
+        &mut doc,
+        "shards_executed",
+        executed,
+        Op::Eq,
+        pool.shard_tasks as f64,
+    );
+    // The flapping device is evicted and readmitted.
+    count(&mut doc, "evictions", pool.total_evictions(), Op::Ge, 1.0);
+    count(
+        &mut doc,
+        "readmissions",
+        pool.total_readmissions(),
+        Op::Ge,
+        1.0,
+    );
+    // The lossy link trips the CRC ledger.
+    count(
+        &mut doc,
+        "link_crc_detected",
+        sum(|d| d.link_crc_detected),
+        Op::Ge,
+        1.0,
+    );
+    count(
+        &mut doc,
+        "link_retransmits",
+        sum(|d| d.link_retransmits),
+        Op::Ge,
+        1.0,
+    );
+    doc.require(
+        "chaos.accounting_consistent",
+        report.submitted == report.accepted + report.rejected
+            && report.accepted == report.completed + report.expired + report.shed + report.failed
+            && report.internal_errors == 0,
+    );
 
     // ---- Pass 2: degraded throughput ----------------------------------
     // A compute-dominated stream (big corpus, few queries): at small
@@ -235,7 +218,7 @@ fn main() {
     // meaningless.
     let throughput_wl = WorkloadConfig {
         clients: 1,
-        queries_per_client: if smoke { 12 } else { 20 },
+        queries_per_client: if args.smoke { 12 } else { 20 },
         corpora: 1,
         shared_ratio: 1.0,
         large_ratio: 0.0,
@@ -247,7 +230,12 @@ fn main() {
         seed: seed ^ 0x7492,
     };
     let throughput_stream = generate_queries(&throughput_wl);
-    let mut degraded = fabric_devices(DEVICES);
+    // Throughput-pass devices sit on the fast fabric: at `r = 1` per
+    // batch the PCIe setup latency is a fixed per-shard charge that
+    // pool size cannot amortize, and the gate would measure the link,
+    // not the pool.
+    let nvlink = Interconnect::nvlink();
+    let mut degraded = devices(DEVICES, &nvlink);
     degraded[SICK].lifecycle = Some(LifecycleSpec {
         seed: seed ^ 0xDEAD,
         loss_rate: 1.0, // lost at the first epoch, absorbing
@@ -257,26 +245,22 @@ fn main() {
         evict_threshold: 1,
         probe_cooldown: u64::MAX / 2,
     };
-    let (_, degraded_report) = serve(
-        pool_config(degraded, never_probe, throughput_stream.len()),
-        ServeBackend::GpuFused { cpu_fallback: true },
-        &throughput_stream,
-    );
+    let (_, degraded_report) = serve(degraded, never_probe, &throughput_stream);
     let (_, single_report) = serve(
-        pool_config(
-            fabric_devices(1),
-            HealthConfig::default(),
-            throughput_stream.len(),
-        ),
-        ServeBackend::GpuFused { cpu_fallback: true },
+        devices(1, &nvlink),
+        HealthConfig::default(),
         &throughput_stream,
     );
-    let degraded_sim_time_s = pool_report(&degraded_report).sim_time_s;
-    let single_sim_time_s = pool_report(&single_report).sim_time_s;
-    let degraded_speedup = single_sim_time_s / degraded_sim_time_s;
+    let degraded_sim = pool_report(&degraded_report).sim_time_s;
+    let single_sim = pool_report(&single_report).sim_time_s;
+    doc.record("single.sim_time", single_sim, Unit::SimS);
+    doc.record("degraded.sim_time", degraded_sim, Unit::SimS);
+    // The degraded pool sustains 2x single-device throughput.
+    let speedup = single_sim / degraded_sim;
+    doc.gate("degraded.speedup", speedup, Unit::X, Op::Ge, 2.0);
 
     // ---- Pass 3: quiet specs are exactly inert ------------------------
-    let mut quiet_specced = quiet_devices(DEVICES);
+    let mut quiet_specced = devices(DEVICES, &pcie);
     for d in &mut quiet_specced {
         d.lifecycle = Some(LifecycleSpec {
             seed,
@@ -288,140 +272,37 @@ fn main() {
             timeout_rate: 0.0,
         });
     }
-    let (specced_out, specced_report) = serve(
-        pool_config(quiet_specced, HealthConfig::default(), stream.len()),
-        ServeBackend::GpuFused { cpu_fallback: true },
-        &stream,
-    );
-    let (bare_out, _) = serve(
-        pool_config(
-            quiet_devices(DEVICES),
-            HealthConfig::default(),
-            stream.len(),
-        ),
-        ServeBackend::GpuFused { cpu_fallback: true },
-        &stream,
-    );
-    let specced_pool = pool_report(&specced_report);
-    let quiet_counters_untouched = specced_pool.total_evictions() == 0
-        && specced_pool.total_link_timeouts() == 0
-        && specced_pool.devices.iter().all(|d| {
+    let (specced_out, specced_report) = serve(quiet_specced, HealthConfig::default(), &stream);
+    let (bare_out, _) = serve(devices(DEVICES, &pcie), HealthConfig::default(), &stream);
+    let specced = pool_report(&specced_report);
+    let quiet_counters_untouched = specced.total_evictions() == 0
+        && specced.total_link_timeouts() == 0
+        && specced.devices.iter().all(|d| {
             d.lifecycle_hangs == 0
                 && d.lifecycle_losses == 0
                 && d.link_crc_detected == 0
                 && d.link_retransmits == 0
         });
-    let quiet_bit_identical = quiet_counters_untouched
-        && specced_out.len() == bare_out.len()
-        && specced_out
-            .iter()
-            .zip(&bare_out)
-            .all(|(a, b)| match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    x.len() == y.len()
-                        && x.iter()
-                            .zip(y.iter())
-                            .all(|(g, w)| g.to_bits() == w.to_bits())
-                }
-                _ => false,
-            });
-
-    let wall_time_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let metrics = ChaosPoolMetrics {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        devices: DEVICES as u64,
-        queries: stream.len() as u64,
-        completed: report.completed,
-        shed: report.shed,
-        expired: report.expired,
-        failed: report.failed,
-        silent_wrong,
-        evictions,
-        readmissions,
-        lifecycle_hangs,
-        lifecycle_losses,
-        link_crc_detected,
-        link_retransmits,
-        link_timeouts,
-        shards_dispatched: pool.shard_tasks,
-        shards_executed,
-        cpu_fallbacks,
-        accounting_consistent,
-        single_sim_time_s,
-        degraded_sim_time_s,
-        degraded_speedup,
-        quiet_bit_identical,
-        gates_passed: false, // set below
-        wall_time_ms,
-    };
-    let gates = [
-        (silent_wrong == 0, "zero silently-wrong results"),
-        (report.failed == 0, "the pool never fails a batch"),
-        (
-            shards_executed == pool.shard_tasks,
-            "no shard dropped across drain/evict/readmit",
-        ),
-        (evictions >= 1, "the flapping device is evicted"),
-        (readmissions >= 1, "the flapping device is readmitted"),
-        (
-            link_crc_detected >= 1 && link_retransmits >= 1,
-            "the lossy link trips the CRC ledger",
-        ),
-        (accounting_consistent, "brownout accounting identity"),
-        (
-            degraded_speedup >= 2.0,
-            "degraded pool sustains 2x single-device throughput",
-        ),
-        (quiet_bit_identical, "quiet specs are exactly inert"),
-    ];
-    let gates_passed = gates.iter().all(|(ok, _)| *ok);
-    let metrics = ChaosPoolMetrics {
-        gates_passed,
-        ..metrics
-    };
+    doc.require(
+        "quiet.bit_identical",
+        quiet_counters_untouched && bits_eq(&specced_out, &bare_out),
+    );
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    doc.record("wall_time", wall_ms, Unit::Ms);
 
     eprintln!(
         "chaos: {} completed / {} shed / {} expired / {} failed; \
-         {} evictions, {} readmissions, {} hang epochs; \
-         link: {} crc / {} retransmits / {} timeouts; {} CPU-recovered shards",
+         {} evictions, {} readmissions; {executed}/{} shards executed",
         report.completed,
         report.shed,
         report.expired,
         report.failed,
-        evictions,
-        readmissions,
-        lifecycle_hangs,
-        link_crc_detected,
-        link_retransmits,
-        link_timeouts,
-        cpu_fallbacks,
+        pool.total_evictions(),
+        pool.total_readmissions(),
+        pool.shard_tasks,
     );
     eprintln!(
-        "throughput: single {single_sim_time_s:.4}s sim vs degraded {degraded_sim_time_s:.4}s \
-         sim = {degraded_speedup:.2}x"
+        "throughput: single {single_sim:.4}s sim vs degraded {degraded_sim:.4}s sim = {speedup:.2}x"
     );
-
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed_gate = false;
-    for (ok, label) in gates {
-        if !ok {
-            eprintln!("FAIL: {label}");
-            failed_gate = true;
-        }
-    }
-    if failed_gate {
-        std::process::exit(1);
-    }
-    eprintln!(
-        "chaos pool soak passed in {wall_time_ms:.0} ms: zero silently-wrong results, \
-         no dropped shards, evict/readmit cycled, {degraded_speedup:.2}x degraded throughput"
-    );
+    finish(&doc, args.json.as_deref());
 }

@@ -20,212 +20,129 @@
 //!   (CI-sized) at the same wave shape, so the speedup gate measures
 //!   the same packing economics;
 //! * `--seed S`: master workload seed (default 11);
-//! * `--json PATH`: write the [`PackMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`].
 
-use std::time::Instant;
-
-use ks_bench::metrics::{path_arg, PackMetrics, PackRunMetrics, SCHEMA_VERSION};
+use ks_bench::harness::{bits_eq, finish, serve_stream, BenchArgs, BenchDoc, Op, Unit};
 use ks_gpu_sim::config::DeviceConfig;
-use ks_serve::{
-    generate_small_queries, packed_smoke_workload, Query, ServeConfig, ServeReport, Server, Submit,
-    Ticket,
-};
+use ks_serve::{generate_small_queries, packed_smoke_workload, ServeConfig, ServeReport};
 
 /// Simulated-time speedup floor for the packed pass over back-to-back
 /// serving (the paper-level target is 2×; the smoke stream must still
 /// clear 1.5×).
 const SPEEDUP_FLOOR: f64 = 1.5;
 
-fn usize_arg(args: &[String], flag: &str, default: usize) -> usize {
-    path_arg(args, flag).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid {flag} value {v}");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Serves the whole stream through one paused server and returns every
-/// per-query outcome plus the shutdown report and host wall time.
-fn serve(cfg: ServeConfig, stream: &[Query]) -> (Vec<Option<Vec<f32>>>, ServeReport, f64) {
-    let t0 = Instant::now();
-    let mut srv = Server::start(cfg);
-    let tickets: Vec<Ticket> = stream
-        .iter()
-        .map(|q| match srv.submit(q.clone()) {
-            Submit::Accepted(t) => t,
-            Submit::Rejected(_) => {
-                eprintln!("error: queue sized for the stream rejected a query");
-                std::process::exit(1);
-            }
-        })
-        .collect();
-    srv.resume();
-    let results: Vec<Option<Vec<f32>>> = tickets.iter().map(|t| t.wait().ok()).collect();
-    let report = srv.shutdown();
-    (results, report, t0.elapsed().as_secs_f64() * 1e3)
-}
-
 /// Mean utilized fraction of a full resident wave across the fused
 /// kernels of a run: `grid_blocks / (num_sms · blocks_per_sm)`,
-/// capped at 1 per kernel.
+/// capped at 1 per kernel. Back-to-back small launches sit far below
+/// 1; packing exists to push this up.
 fn fused_wave_fill(report: &ServeReport, dev: &DeviceConfig) -> f64 {
-    let mut sum = 0.0f64;
-    let mut count = 0u64;
-    for prof in &report.profiles {
-        for k in &prof.kernels {
-            if !k.name.starts_with("fused_multi") {
-                continue;
-            }
+    let fills: Vec<f64> = report
+        .profiles
+        .iter()
+        .flat_map(|p| &p.kernels)
+        .filter(|k| k.name.starts_with("fused_multi"))
+        .map(|k| {
             let resident = f64::from(dev.num_sms) * f64::from(k.occupancy.blocks_per_sm);
-            let blocks = k.launch.grid.count() as f64;
-            sum += (blocks / resident).min(1.0);
-            count += 1;
-        }
-    }
-    if count == 0 {
+            (k.launch.grid.count() as f64 / resident).min(1.0)
+        })
+        .collect();
+    if fills.is_empty() {
         0.0
     } else {
-        sum / count as f64
+        fills.iter().sum::<f64>() / fills.len() as f64
     }
 }
 
-/// Flattens one pass into the export row.
-fn run_metrics(report: &ServeReport, dev: &DeviceConfig, wall_time_ms: f64) -> PackRunMetrics {
-    PackRunMetrics {
-        completed: report.completed,
-        failed: report.failed,
-        batches: report.batches,
-        launches: report.launches,
-        packed_launches: report.packed_launches,
-        packed_segments: report.packed_segments,
-        dram_transactions: report
-            .profiles
-            .iter()
-            .map(|p| p.total_mem().dram_transactions())
-            .sum(),
-        fused_wave_fill: fused_wave_fill(report, dev),
-        sim_time_s: report.profiles.iter().map(|p| p.total_time_s()).sum(),
-        wall_time_ms,
+/// Records one pass under `pass.`.
+fn record_pass(doc: &mut BenchDoc, pass: &str, report: &ServeReport, dev: &DeviceConfig, ms: f64) {
+    for (name, value) in [
+        ("completed", report.completed),
+        ("failed", report.failed),
+        ("batches", report.batches),
+        ("launches", report.launches),
+        ("packed_launches", report.packed_launches),
+        ("packed_segments", report.packed_segments),
+        ("dram_transactions", report.total_dram_transactions()),
+    ] {
+        doc.record(format!("{pass}.{name}"), value as f64, Unit::Count);
     }
+    doc.record(
+        format!("{pass}.fused_wave_fill"),
+        fused_wave_fill(report, dev),
+        Unit::Frac,
+    );
+    doc.record(format!("{pass}.sim_time"), sim_time(report), Unit::SimS);
+    doc.record(format!("{pass}.wall_time"), ms, Unit::Ms);
 }
 
-fn bits_eq(a: &[Option<Vec<f32>>], b: &[Option<Vec<f32>>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Some(x), Some(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-            }
-            (None, None) => true,
-            _ => false,
-        })
+/// Simulated serving time summed over every completed profile.
+fn sim_time(report: &ServeReport) -> f64 {
+    report.profiles.iter().map(|p| p.total_time_s()).sum()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = usize_arg(&args, "--seed", 11) as u64;
-    let queries = usize_arg(&args, "--queries", if smoke { 64 } else { 128 });
+    let args = BenchArgs::from_env("pack_bench", &[("--queries", "N"), ("--seed", "S")]);
+    let seed: u64 = args.get("--seed", 11);
+    let queries: usize = args.get("--queries", if args.smoke { 64 } else { 128 });
 
     let mut wl = packed_smoke_workload();
     wl.queries = queries;
     wl.seed = seed;
     let stream = generate_small_queries(&wl);
     let cfg = |pack: bool| ServeConfig {
-        queue_capacity: stream.len(),
-        start_paused: true,
         pack,
         ..ServeConfig::default()
     };
     let device = cfg(false).device;
 
     eprintln!("serving {} queries back-to-back (golden)...", stream.len());
-    let (golden, unpacked_report, unpacked_wall) = serve(cfg(false), &stream);
+    let (golden, unpacked, unpacked_wall) = serve_stream(cfg(false), &stream);
     eprintln!("serving with horizontal fusion...");
-    let (packed_res, packed_report, packed_wall) = serve(cfg(true), &stream);
+    let (packed_res, packed, packed_wall) = serve_stream(cfg(true), &stream);
 
-    let unpacked = run_metrics(&unpacked_report, &device, unpacked_wall);
-    let packed = run_metrics(&packed_report, &device, packed_wall);
-    let speedup = unpacked.sim_time_s / packed.sim_time_s;
-    let dram_saved = unpacked.dram_transactions as i64 - packed.dram_transactions as i64;
-    let bit_identical = bits_eq(&golden, &packed_res);
-    let packing_fired = packed.packed_launches > 0
-        && packed.packed_segments >= 2 * packed.packed_launches
-        && unpacked.packed_launches == 0;
-    let counters_clean = packed.completed == unpacked.completed
-        && packed.failed == 0
-        && unpacked.failed == 0
-        && packed.launches < unpacked.launches;
+    let mut doc = BenchDoc::new("pack_bench", Some(seed), args.smoke);
+    for (name, value) in [
+        ("queries", stream.len()),
+        ("m", wl.m),
+        ("n", wl.n),
+        ("k", wl.k),
+        ("corpora", wl.corpora),
+        ("target_sets", wl.target_sets),
+    ] {
+        doc.record(name, value as f64, Unit::Count);
+    }
+    record_pass(&mut doc, "unpacked", &unpacked, &device, unpacked_wall);
+    record_pass(&mut doc, "packed", &packed, &device, packed_wall);
 
-    let gates_passed = bit_identical
-        && packing_fired
-        && counters_clean
-        && speedup >= SPEEDUP_FLOOR
-        && dram_saved > 0;
-
-    let metrics = PackMetrics {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        queries: stream.len() as u64,
-        m: wl.m as u64,
-        n: wl.n as u64,
-        k: wl.k as u64,
-        corpora: wl.corpora as u64,
-        target_sets: wl.target_sets as u64,
-        unpacked,
-        packed,
-        speedup,
-        dram_saved,
-        bit_identical,
-        gates_passed,
-    };
+    let speedup = sim_time(&unpacked) / sim_time(&packed);
+    let dram_saved =
+        unpacked.total_dram_transactions() as f64 - packed.total_dram_transactions() as f64;
+    doc.gate("speedup", speedup, Unit::X, Op::Ge, SPEEDUP_FLOOR);
+    doc.gate("dram_saved", dram_saved, Unit::Count, Op::Ge, 1.0);
+    doc.require("bit_identical", bits_eq(&golden, &packed_res));
+    doc.require(
+        "packing_fired",
+        packed.packed_launches > 0
+            && packed.packed_segments >= 2 * packed.packed_launches
+            && unpacked.packed_launches == 0,
+    );
+    doc.require(
+        "counters_clean",
+        packed.completed == unpacked.completed
+            && packed.failed == 0
+            && unpacked.failed == 0
+            && packed.launches < unpacked.launches,
+    );
 
     eprintln!(
         "sim time: {:.6} s back-to-back, {:.6} s packed ({speedup:.2}x, floor {SPEEDUP_FLOOR}x)",
-        metrics.unpacked.sim_time_s, metrics.packed.sim_time_s
+        sim_time(&unpacked),
+        sim_time(&packed)
     );
     eprintln!(
-        "launches: {} -> {} ({} packed waves carrying {} segments); \
-         DRAM: {} -> {} ({dram_saved} saved); fused wave fill {:.2} -> {:.2}",
-        metrics.unpacked.launches,
-        metrics.packed.launches,
-        metrics.packed.packed_launches,
-        metrics.packed.packed_segments,
-        metrics.unpacked.dram_transactions,
-        metrics.packed.dram_transactions,
-        metrics.unpacked.fused_wave_fill,
-        metrics.packed.fused_wave_fill,
+        "launches: {} -> {} ({} packed waves carrying {} segments); {dram_saved} DRAM saved",
+        unpacked.launches, packed.launches, packed.packed_launches, packed.packed_segments,
     );
-    eprintln!(
-        "wall: golden {:.0} ms, packed {:.0} ms",
-        metrics.unpacked.wall_time_ms, metrics.packed.wall_time_ms
-    );
-
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if !bit_identical {
-        eprintln!("FAIL: packed results drifted from back-to-back serving");
-    }
-    if !packing_fired {
-        eprintln!("FAIL: horizontal fusion never fired on the packing stream");
-    }
-    if !counters_clean {
-        eprintln!("FAIL: serve counters drifted between passes");
-    }
-    if speedup < SPEEDUP_FLOOR {
-        eprintln!("FAIL: simulated speedup {speedup:.2}x below the {SPEEDUP_FLOOR}x floor");
-    }
-    if dram_saved <= 0 {
-        eprintln!("FAIL: packing must save DRAM transactions ({dram_saved})");
-    }
-    if !gates_passed {
-        std::process::exit(1);
-    }
-    eprintln!("pack bench passed: bit-identical, {speedup:.2}x, {dram_saved} DRAM saved");
+    eprintln!("wall: golden {unpacked_wall:.0} ms, packed {packed_wall:.0} ms");
+    finish(&doc, args.json.as_deref());
 }

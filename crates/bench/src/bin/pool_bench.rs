@@ -24,16 +24,11 @@
 //!   speedup gate still means something;
 //! * `--devices N`: pooled device count (default 4, minimum 2);
 //! * `--seed S`: master workload seed (default 42);
-//! * `--json PATH`: write the [`PoolMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`].
 
-use std::time::Instant;
-
-use ks_bench::metrics::{path_arg, PoolMetrics, PoolRunMetrics, SCHEMA_VERSION};
+use ks_bench::harness::{bits_eq, finish, serve_stream, within_tol, BenchArgs, BenchDoc, Op, Unit};
 use ks_gpu_sim::{FaultSpec, Interconnect};
-use ks_serve::{
-    generate_queries, PoolConfig, Query, ServeConfig, ServeReport, Server, Submit, Ticket,
-    WorkloadConfig,
-};
+use ks_serve::{generate_queries, PoolConfig, ServeConfig, ServeReport, WorkloadConfig};
 
 /// Simulated-time speedup floor for the N-device pool over the
 /// 1-device baseline.
@@ -47,77 +42,40 @@ const TOL: f32 = 5e-3;
 /// pass.
 const SICK: usize = 2;
 
-fn usize_arg(args: &[String], flag: &str, default: usize) -> usize {
-    path_arg(args, flag).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid {flag} value {v}");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Serves the whole stream through one paused server and returns every
-/// per-query outcome plus the shutdown report and host wall time.
-fn serve(cfg: ServeConfig, stream: &[Query]) -> (Vec<Option<Vec<f32>>>, ServeReport, f64) {
-    let t0 = Instant::now();
-    let mut srv = Server::start(cfg);
-    let tickets: Vec<Ticket> = stream
-        .iter()
-        .map(|q| match srv.submit(q.clone()) {
-            Submit::Accepted(t) => t,
-            Submit::Rejected(_) => {
-                eprintln!("error: queue sized for the stream rejected a query");
-                std::process::exit(1);
-            }
-        })
-        .collect();
-    srv.resume();
-    let results: Vec<Option<Vec<f32>>> = tickets.iter().map(|t| t.wait().ok()).collect();
-    let report = srv.shutdown();
-    (results, report, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Flattens one pooled pass into the export row. Panics if the pass
-/// was not actually pooled.
-fn run_metrics(report: &ServeReport, wall_time_ms: f64) -> PoolRunMetrics {
+/// Records one pooled pass under `pass.`. Panics if the pass was not
+/// actually pooled.
+fn record_pass(doc: &mut BenchDoc, pass: &str, report: &ServeReport, wall_ms: f64) {
     let pool = report.pool.as_ref().expect("pooled pass carries a report");
-    PoolRunMetrics {
-        devices: pool.devices.len() as u64,
-        completed: report.completed,
-        failed: report.failed,
-        batches: report.batches,
-        batched_queries: report.batched_queries,
-        fallbacks: report.fallbacks,
-        shard_tasks: pool.shard_tasks,
-        stolen_tasks: pool.stolen_tasks,
-        breaker_trips: pool.total_trips(),
-        transfer_bytes: pool.devices.iter().map(|d| d.transfer_bytes).sum(),
-        sim_time_s: pool.sim_time_s,
-        wall_time_ms,
+    let transfer_bytes: u64 = pool.devices.iter().map(|d| d.transfer_bytes).sum();
+    for (name, value) in [
+        ("devices", pool.devices.len() as u64),
+        ("completed", report.completed),
+        ("failed", report.failed),
+        ("batches", report.batches),
+        ("batched_queries", report.batched_queries),
+        ("fallbacks", report.fallbacks),
+        ("shard_tasks", pool.shard_tasks),
+        ("stolen_tasks", pool.stolen_tasks),
+        ("breaker_trips", pool.total_trips()),
+        ("transfer_bytes", transfer_bytes),
+    ] {
+        doc.record(format!("{pass}.{name}"), value as f64, Unit::Count);
     }
-}
-
-fn bits_eq(a: &[Option<Vec<f32>>], b: &[Option<Vec<f32>>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Some(x), Some(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-            }
-            (None, None) => true,
-            _ => false,
-        })
+    doc.record(format!("{pass}.sim_time"), pool.sim_time_s, Unit::SimS);
+    doc.record(format!("{pass}.wall_time"), wall_ms, Unit::Ms);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = usize_arg(&args, "--seed", 42) as u64;
-    let devices = usize_arg(&args, "--devices", 4);
+    let args = BenchArgs::from_env(
+        "pool_bench",
+        &[("--devices", "N"), ("--queries", "N"), ("--seed", "S")],
+    );
+    let seed: u64 = args.get("--seed", 42);
+    let devices: usize = args.get("--devices", 4);
     if devices < 2 {
-        eprintln!("error: --devices must be at least 2 (got {devices})");
-        std::process::exit(2);
+        args.usage_error(&format!("--devices must be at least 2 (got {devices})"));
     }
-    let queries = usize_arg(&args, "--queries", if smoke { 12 } else { 24 });
+    let queries: usize = args.get("--queries", if args.smoke { 12 } else { 24 });
 
     // Corpora are sized so per-shard kernel time dominates the
     // modelled PCIe cost at 4 shards: M = 32768 keeps each 8192-row
@@ -138,13 +96,8 @@ fn main() {
         seed,
     };
     let stream = generate_queries(&wl);
-    let base = ServeConfig {
-        queue_capacity: stream.len(),
-        start_paused: true,
-        ..ServeConfig::default()
-    };
     let pooled_cfg = |n: usize| {
-        let mut cfg = base.clone();
+        let mut cfg = ServeConfig::default();
         cfg.pool = Some(PoolConfig::homogeneous(
             n,
             cfg.device.clone(),
@@ -154,11 +107,11 @@ fn main() {
     };
 
     eprintln!("serving {} queries unpooled (golden)...", stream.len());
-    let (golden, golden_report, golden_wall) = serve(base.clone(), &stream);
+    let (golden, golden_report, golden_wall) = serve_stream(ServeConfig::default(), &stream);
     eprintln!("serving through a 1-device pool...");
-    let (single_res, single_report, single_wall) = serve(pooled_cfg(1), &stream);
+    let (single_res, single_report, single_wall) = serve_stream(pooled_cfg(1), &stream);
     eprintln!("serving through a {devices}-device pool...");
-    let (pooled_res, pooled_report, pooled_wall) = serve(pooled_cfg(devices), &stream);
+    let (pooled_res, pooled_report, pooled_wall) = serve_stream(pooled_cfg(devices), &stream);
 
     eprintln!("serving with device {SICK} permanently faulted...");
     let mut sick_cfg = pooled_cfg(devices);
@@ -172,14 +125,26 @@ fn main() {
             watchdog_rate: 0.0,
         });
     }
-    let (faulted_res, faulted_report, faulted_wall) = serve(sick_cfg, &stream);
+    let (faulted_res, faulted_report, faulted_wall) = serve_stream(sick_cfg, &stream);
 
-    let single = run_metrics(&single_report, single_wall);
-    let pooled = run_metrics(&pooled_report, pooled_wall);
-    let faulted = run_metrics(&faulted_report, faulted_wall);
-    let speedup = single.sim_time_s / pooled.sim_time_s;
+    let mut doc = BenchDoc::new("pool_bench", Some(seed), args.smoke);
+    doc.record("m", wl.m as f64, Unit::Count);
+    doc.record("n", wl.n as f64, Unit::Count);
+    doc.record("k", wl.k as f64, Unit::Count);
+    doc.record("queries", stream.len() as f64, Unit::Count);
+    doc.record("shared_ratio", wl.shared_ratio, Unit::Frac);
+    record_pass(&mut doc, "single", &single_report, single_wall);
+    record_pass(&mut doc, "pooled", &pooled_report, pooled_wall);
+    record_pass(&mut doc, "faulted", &faulted_report, faulted_wall);
 
-    let bit_identical = bits_eq(&golden, &single_res) && bits_eq(&golden, &pooled_res);
+    let single_sim = single_report.pool.as_ref().expect("pooled").sim_time_s;
+    let pooled_sim = pooled_report.pool.as_ref().expect("pooled").sim_time_s;
+    let speedup = single_sim / pooled_sim;
+    doc.gate("speedup", speedup, Unit::X, Op::Ge, SPEEDUP_FLOOR);
+    doc.require(
+        "bit_identical",
+        bits_eq(&golden, &single_res) && bits_eq(&golden, &pooled_res),
+    );
     let counters_match = [&single_report, &pooled_report, &faulted_report]
         .iter()
         .all(|r| {
@@ -191,111 +156,60 @@ fn main() {
                 && r.internal_errors == 0
         })
         && golden_report.failed == 0;
+    doc.require("counters_match", counters_match);
 
     // The degraded pass: every query still completes, within tolerance
     // of the golden (sick shards recover on the CPU, which is bit-exact
-    // to the reference but not to the healthy GPU shards it replaces).
+    // to the reference but not to the healthy GPU shards it replaces),
+    // and only the sick device degrades.
     let mut faulted_correct = true;
     for (qi, (got, want)) in faulted_res.iter().zip(&golden).enumerate() {
-        match (got, want) {
-            (Some(got), Some(want)) => {
-                let close = got.len() == want.len()
-                    && got
-                        .iter()
-                        .zip(want)
-                        .all(|(g, w)| (g - w).abs() <= TOL * w.abs().max(1.0));
-                if !close {
-                    eprintln!("degraded pass: query {qi} outside tolerance");
-                    faulted_correct = false;
-                }
-            }
-            _ => {
-                eprintln!("degraded pass: query {qi} did not complete");
-                faulted_correct = false;
-            }
+        let (Ok(got), Ok(want)) = (got, want) else {
+            eprintln!("degraded pass: query {qi} did not complete");
+            faulted_correct = false;
+            continue;
+        };
+        if !within_tol(got, want, TOL) {
+            eprintln!("degraded pass: query {qi} outside tolerance");
+            faulted_correct = false;
         }
     }
-    let sick_report = &faulted_report.pool.as_ref().expect("pooled").devices[SICK];
-    let faulted_sick_trips = sick_report.breaker_trips;
-    let faulted_sick_fallbacks = sick_report.cpu_fallbacks;
-    let faulted_healthy_fallbacks = faulted_report
-        .pool
-        .as_ref()
-        .expect("pooled")
+    let faulted_pool = faulted_report.pool.as_ref().expect("pooled");
+    let sick = &faulted_pool.devices[SICK];
+    let healthy_fallbacks: u64 = faulted_pool
         .devices
         .iter()
         .enumerate()
         .filter(|(d, _)| *d != SICK)
         .map(|(_, r)| r.cpu_fallbacks)
-        .sum::<u64>();
-    let degradation_local = faulted_correct
-        && faulted_sick_trips > 0
-        && faulted_sick_fallbacks > 0
-        && faulted_healthy_fallbacks == 0;
-
-    let gates_passed =
-        bit_identical && counters_match && speedup >= SPEEDUP_FLOOR && degradation_local;
-
-    let metrics = PoolMetrics {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        m: wl.m as u64,
-        n: wl.n as u64,
-        k: wl.k as u64,
-        queries: stream.len() as u64,
-        shared_ratio: wl.shared_ratio,
-        single,
-        pooled,
-        speedup,
-        bit_identical,
-        counters_match,
-        faulted,
-        faulted_sick_trips,
-        faulted_sick_fallbacks,
-        faulted_healthy_fallbacks,
-        gates_passed,
-    };
-
-    eprintln!(
-        "sim time: {:.6} s at 1 device, {:.6} s at {devices} ({speedup:.2}x, floor {SPEEDUP_FLOOR}x)",
-        metrics.single.sim_time_s, metrics.pooled.sim_time_s
+        .sum();
+    doc.require("faulted.within_tolerance", faulted_correct);
+    let trips = sick.breaker_trips as f64;
+    doc.gate("faulted.sick_trips", trips, Unit::Count, Op::Ge, 1.0);
+    let sick_fallbacks = sick.cpu_fallbacks as f64;
+    doc.gate(
+        "faulted.sick_fallbacks",
+        sick_fallbacks,
+        Unit::Count,
+        Op::Ge,
+        1.0,
     );
-    eprintln!(
-        "pool: {} shard tasks ({} stolen), {} bytes over PCIe; degraded pass: \
-         {faulted_sick_trips} sick trips, {faulted_sick_fallbacks} sick / \
-         {faulted_healthy_fallbacks} healthy CPU shard recoveries",
-        metrics.pooled.shard_tasks, metrics.pooled.stolen_tasks, metrics.pooled.transfer_bytes
-    );
-    eprintln!(
-        "wall: golden {golden_wall:.0} ms, pool1 {:.0} ms, pool{devices} {:.0} ms, \
-         degraded {:.0} ms",
-        metrics.single.wall_time_ms, metrics.pooled.wall_time_ms, metrics.faulted.wall_time_ms
+    let healthy = healthy_fallbacks as f64;
+    doc.gate(
+        "faulted.healthy_fallbacks",
+        healthy,
+        Unit::Count,
+        Op::Eq,
+        0.0,
     );
 
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if !bit_identical {
-        eprintln!("FAIL: pooled results drifted from unpooled single-device serving");
-    }
-    if !counters_match {
-        eprintln!("FAIL: serve counters drifted between passes");
-    }
-    if speedup < SPEEDUP_FLOOR {
-        eprintln!("FAIL: simulated speedup {speedup:.2}x below the {SPEEDUP_FLOOR}x floor");
-    }
-    if !degradation_local {
-        eprintln!("FAIL: faulted device did not degrade shard-locally");
-    }
-    if !gates_passed {
-        std::process::exit(1);
-    }
     eprintln!(
-        "pool bench passed: bit-identical, counters stable, {speedup:.2}x at {devices} devices"
+        "sim time: {single_sim:.6} s at 1 device, {pooled_sim:.6} s at {devices} \
+         ({speedup:.2}x, floor {SPEEDUP_FLOOR}x)"
     );
+    eprintln!(
+        "wall: golden {golden_wall:.0} ms, pool1 {single_wall:.0} ms, \
+         pool{devices} {pooled_wall:.0} ms, degraded {faulted_wall:.0} ms"
+    );
+    finish(&doc, args.json.as_deref());
 }

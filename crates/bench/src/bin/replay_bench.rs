@@ -17,11 +17,11 @@
 //!   (and always exit 1 on a counter mismatch);
 //! * `--threads N`: worker count for the parallel runs (default: the
 //!   machine's cores);
-//! * `--json PATH`: write the [`ReplayMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`] (records `m<M>.…` per point).
 
 use std::time::Instant;
 
-use ks_bench::metrics::{path_arg, ReplayMetrics, ReplayPoint, SCHEMA_VERSION};
+use ks_bench::harness::{finish, BenchArgs, BenchDoc, Op, Unit};
 use ks_gpu_kernels::{GpuKernelSummation, GpuVariant};
 use ks_gpu_sim::{GpuDevice, ReplayStrategy};
 
@@ -50,28 +50,23 @@ fn profile_ms(m: usize, strategy: ReplayStrategy) -> (f64, ks_gpu_sim::PipelineP
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate: Option<f64> = path_arg(&args, "--gate").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --gate value {v}");
-            std::process::exit(2);
-        })
-    });
-    let threads: Option<usize> = path_arg(&args, "--threads").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --threads value {v}");
-            std::process::exit(2);
-        })
-    });
-    let m_values: &[usize] = if smoke {
+    let args = BenchArgs::from_env(
+        "replay_bench",
+        &[("--gate", "MIN_SPEEDUP"), ("--threads", "N")],
+    );
+    let gate: Option<f64> = args.opt("--gate");
+    let threads: Option<usize> = args.opt("--threads");
+    let m_values: &[usize] = if args.smoke {
         &[8192, 65_536]
     } else {
         &[8192, 65_536, 524_288]
     };
 
-    let mut points = Vec::new();
-    for &m in m_values {
+    let mut doc = BenchDoc::new("replay_bench", None, args.smoke);
+    doc.record("k", K as f64, Unit::Count);
+    doc.record("n", N as f64, Unit::Count);
+    doc.record("threads", threads.unwrap_or(0) as f64, Unit::Count);
+    for (i, &m) in m_values.iter().enumerate() {
         let (serial_ms, serial_prof, blocks) = profile_ms(m, ReplayStrategy::Serial);
         let (parallel_ms, parallel_prof, _) = profile_ms(
             m,
@@ -86,48 +81,17 @@ fn main() {
             "M={m:>7} blocks={blocks:>6}: serial {serial_ms:>9.1} ms, parallel {parallel_ms:>9.1} ms, speedup {speedup:.2}x, counters {}",
             if counters_match { "match" } else { "MISMATCH" }
         );
-        points.push(ReplayPoint {
-            m: m as u64,
-            k: K as u64,
-            n: N as u64,
-            blocks,
-            serial_ms,
-            parallel_ms,
-            speedup,
-            threads: threads.unwrap_or(0) as u64,
-            counters_match,
-        });
-    }
-
-    let metrics = ReplayMetrics {
-        schema_version: SCHEMA_VERSION,
-        kernel: "Fused".into(),
-        points,
-    };
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if metrics.points.iter().any(|p| !p.counters_match) {
-        eprintln!("FAIL: parallel replay drifted from serial counters");
-        std::process::exit(1);
-    }
-    if let Some(min) = gate {
-        let last = metrics.points.last().expect("at least one point");
-        if last.speedup < min {
-            eprintln!(
-                "FAIL: speedup {:.2}x at M={} below gate {min:.2}x",
-                last.speedup, last.m
-            );
-            std::process::exit(1);
+        doc.record(format!("m{m}.blocks"), blocks as f64, Unit::Count);
+        doc.record(format!("m{m}.serial"), serial_ms, Unit::Ms);
+        doc.record(format!("m{m}.parallel"), parallel_ms, Unit::Ms);
+        // Only the largest point's speedup is gated.
+        match gate {
+            Some(min) if i + 1 == m_values.len() => {
+                doc.gate(format!("m{m}.speedup"), speedup, Unit::X, Op::Ge, min);
+            }
+            _ => doc.record(format!("m{m}.speedup"), speedup, Unit::X),
         }
-        eprintln!(
-            "gate passed: {:.2}x >= {min:.2}x at M={}",
-            last.speedup, last.m
-        );
+        doc.require(format!("m{m}.counters_match"), counters_match);
     }
+    finish(&doc, args.json.as_deref());
 }

@@ -23,11 +23,10 @@
 //! * default: the smoke grid (7 training shapes, 6 pick shapes, full
 //!   150-geometry lattice);
 //! * `--smoke`: a compact 4-train/3-pick grid, CI-sized;
-//! * `--json PATH`: write the [`TuneMetrics`] document.
+//! * `--json PATH`: write the [`BenchDoc`]; each pick's records are
+//!   named `pick.<shape>[<geometry>].…`.
 
-use std::time::Instant;
-
-use ks_bench::metrics::{path_arg, TuneMetrics, TunePickMetrics, SCHEMA_VERSION};
+use ks_bench::harness::{finish, BenchArgs, BenchDoc, Op, Unit};
 use ks_gpu_kernels::TileGeometry;
 use ks_gpu_sim::config::DeviceConfig;
 use ks_tune::{profile_geometry, tune, ProblemShape, TuneConfig};
@@ -39,18 +38,12 @@ const HOLDOUT_ERR_CEILING: f64 = 0.25;
 const REPLAY_TOL: f64 = 1e-9;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = path_arg(&args, "--seed").map_or(0x5EED, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid --seed value {v}");
-            std::process::exit(2);
-        })
-    });
+    let args = BenchArgs::from_env("tune_bench", &[("--seed", "S")]);
+    let seed: u64 = args.get("--seed", 0x5EED);
 
     let mut cfg = TuneConfig::smoke(DeviceConfig::gtx970());
     cfg.seed = seed;
-    if smoke {
+    if args.smoke {
         cfg.train_shapes = vec![
             ProblemShape::new(1024, 1024, 32),
             ProblemShape::new(512, 512, 32),
@@ -64,113 +57,94 @@ fn main() {
         ];
     }
 
-    let wall = Instant::now();
+    let wall = std::time::Instant::now();
+    let lattice = TileGeometry::lattice(&cfg.device).len();
     eprintln!(
-        "tune_bench: sweeping {} geometries x {} shapes on {}",
-        TileGeometry::lattice(&cfg.device).len(),
+        "tune_bench: sweeping {lattice} geometries x {} shapes on {}",
         cfg.train_shapes.len(),
         cfg.device.name
     );
     let out = tune(&cfg);
-    eprintln!(
-        "tune_bench: {} admitted, {} rejected, {} samples; holdout mape {:.4}, max {:.4}",
-        out.admitted.len(),
-        out.rejected.len(),
-        out.samples.len(),
-        out.fit.holdout_mape_time,
-        out.fit.holdout_max_rel_time
+    let mut doc = BenchDoc::new("tune_bench", Some(seed), args.smoke);
+    for (name, value) in [
+        ("lattice", lattice),
+        ("admitted", out.admitted.len()),
+        ("rejected", out.rejected.len()),
+        ("samples", out.samples.len()),
+        ("train_count", out.fit.train_count),
+        ("holdout_count", out.fit.holdout_count),
+    ] {
+        doc.record(name, value as f64, Unit::Count);
+    }
+    for (name, value) in [
+        ("holdout_mape_time", out.fit.holdout_mape_time),
+        ("holdout_mape_energy", out.fit.holdout_mape_energy),
+        ("holdout_max_rel_energy", out.fit.holdout_max_rel_energy),
+        ("advertised_rel_err", out.fit.advertised_rel_err()),
+    ] {
+        doc.record(name, value, Unit::Frac);
+    }
+    let max_rel = out.fit.holdout_max_rel_time;
+    doc.gate(
+        "holdout_max_rel_time",
+        max_rel,
+        Unit::Frac,
+        Op::Le,
+        HOLDOUT_ERR_CEILING,
     );
 
     // Validation replay — strictly after the picks were made.
     let default = TileGeometry::paper_default();
-    let mut picks = Vec::new();
     let mut wins = 0u64;
-    let mut never_worse = true;
     for p in &out.picks {
         let shape = ProblemShape::new(p.m, p.n, p.k);
-        let picked = profile_geometry(&cfg.device, &p.choice.geometry, &shape)
+        let geo = &p.choice.geometry;
+        let picked = profile_geometry(&cfg.device, geo, &shape)
             .unwrap_or_else(|e| panic!("replaying pick at {shape}: {e}"));
         let base = profile_geometry(&cfg.device, &default, &shape)
             .unwrap_or_else(|e| panic!("replaying default at {shape}: {e}"));
         let speedup = base.time_s / picked.time_s;
-        if picked.time_s > base.time_s * (1.0 + REPLAY_TOL) {
-            never_worse = false;
-            eprintln!(
-                "tune_bench: GATE FAIL at {shape}: pick {} replays {:.3e}s vs default {:.3e}s",
-                p.choice.geometry, picked.time_s, base.time_s
-            );
-        }
         let non_paper = (p.m, p.n, p.k) != (128, 128, 8);
-        if non_paper && speedup > 1.0 && p.choice.geometry != default {
+        if non_paper && speedup > 1.0 && *geo != default {
             wins += 1;
         }
         eprintln!(
-            "tune_bench: {shape}: pick {} ({:.3e}s pred) replays {:.2}x vs default",
-            p.choice.geometry, p.choice.pred_time_s, speedup
+            "tune_bench: {shape}: pick {geo} ({:.3e}s pred) replays {speedup:.2}x vs default",
+            p.choice.pred_time_s
         );
-        picks.push(TunePickMetrics {
-            m: p.m as u64,
-            n: p.n as u64,
-            k: p.k as u64,
-            geometry: p.choice.geometry.to_string(),
-            pred_time_s: p.choice.pred_time_s,
-            pred_energy_j: p.choice.pred_energy_j,
-            picked_time_s: picked.time_s,
-            default_time_s: base.time_s,
-            speedup,
-            low_power: p.choice.low_power.map(|g| g.to_string()),
-            low_power_energy_j: p.choice.low_power_energy_j,
-        });
-    }
-
-    let fit_ok = out.fit.holdout_max_rel_time <= HOLDOUT_ERR_CEILING;
-    if !fit_ok {
-        eprintln!(
-            "tune_bench: GATE FAIL: holdout max rel time error {:.4} > {HOLDOUT_ERR_CEILING}",
-            out.fit.holdout_max_rel_time
+        let pick = format!("pick.{shape}[{geo}]");
+        doc.record(
+            format!("{pick}.pred_time"),
+            p.choice.pred_time_s,
+            Unit::SimS,
         );
+        doc.record(
+            format!("{pick}.pred_energy"),
+            p.choice.pred_energy_j,
+            Unit::J,
+        );
+        // Never worse: the pick replays no slower than the default.
+        doc.gate(
+            format!("{pick}.picked_time"),
+            picked.time_s,
+            Unit::SimS,
+            Op::Le,
+            base.time_s * (1.0 + REPLAY_TOL),
+        );
+        doc.record(format!("{pick}.default_time"), base.time_s, Unit::SimS);
+        doc.record(format!("{pick}.speedup"), speedup, Unit::X);
+        let low = p.choice.low_power.map_or("none".into(), |g| g.to_string());
+        let energy = p.choice.low_power_energy_j;
+        doc.record(format!("{pick}.low_power[{low}].energy"), energy, Unit::J);
     }
-    if wins == 0 {
-        eprintln!("tune_bench: GATE FAIL: no non-paper shape strictly beat the default");
-    }
-    let gates_passed = fit_ok && never_worse && wins > 0;
-
-    let metrics = TuneMetrics {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        device: cfg.device.name.clone(),
-        lattice: TileGeometry::lattice(&cfg.device).len() as u64,
-        admitted: out.admitted.len() as u64,
-        rejected: out.rejected.len() as u64,
-        samples: out.samples.len() as u64,
-        train_count: out.fit.train_count as u64,
-        holdout_count: out.fit.holdout_count as u64,
-        holdout_mape_time: out.fit.holdout_mape_time,
-        holdout_max_rel_time: out.fit.holdout_max_rel_time,
-        holdout_mape_energy: out.fit.holdout_mape_energy,
-        holdout_max_rel_energy: out.fit.holdout_max_rel_energy,
-        advertised_rel_err: out.fit.advertised_rel_err(),
-        picks,
-        wins,
-        gates_passed,
-        host_wall_s: wall.elapsed().as_secs_f64(),
-    };
-
-    if let Some(path) = path_arg(&args, "--json") {
-        metrics.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("tune_bench: wrote {path}");
-    }
-    println!("{}", metrics.to_json());
-    if !gates_passed {
-        std::process::exit(1);
-    }
+    // A real win: some non-paper shape's pick strictly beats the default.
+    doc.gate("wins", wins as f64, Unit::Count, Op::Ge, 1.0);
+    let wall_s = wall.elapsed().as_secs_f64();
+    doc.record("host_wall", wall_s, Unit::S);
     eprintln!(
-        "tune_bench: all gates passed ({} picks, {} strict wins, {:.1}s)",
-        metrics.picks.len(),
-        wins,
-        metrics.host_wall_s
+        "tune_bench: {} admitted, {} picks, {wins} strict wins, holdout max {max_rel:.4}, {wall_s:.1}s",
+        out.admitted.len(),
+        out.picks.len()
     );
+    finish(&doc, args.json.as_deref());
 }

@@ -13,18 +13,23 @@
 //! are defined in [`sweep`]; the shared profiling engine in [`data`];
 //! the per-exhibit computations in [`exhibits`] (returned as
 //! structured rows so the integration tests can assert the paper's
-//! claims without parsing stdout).
+//! claims without parsing stdout). The gate binaries (`pool_bench`,
+//! `pack_bench`, `chaos_bench`, `chaos_pool_bench`, `tune_bench`,
+//! `replay_bench`) share the runner and record document in
+//! [`harness`].
 
 #![warn(missing_docs)]
 
 pub mod data;
 pub mod exhibits;
+pub mod harness;
 pub mod metrics;
 pub mod regress;
 pub mod sweep;
 pub mod table;
 
 pub use data::{profile_or_exit, PointData, SweepData};
-pub use metrics::{ReplayMetrics, ReplayPoint, ServeMetrics, SweepMetrics};
+pub use harness::{BenchArgs, BenchDoc};
+pub use metrics::{ServeMetrics, SweepMetrics};
 pub use sweep::Sweep;
 pub use table::TextTable;

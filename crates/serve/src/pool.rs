@@ -309,6 +309,9 @@ struct ShardTask {
     h: f32,
     weights: Arc<Vec<Vec<f32>>>,
     warm: bool,
+    /// The tile geometry the server resolved (and admitted) for the
+    /// batch.
+    geometry: TileGeometry,
     owner: usize,
     device: DeviceConfig,
     interconnect: Interconnect,
@@ -329,6 +332,8 @@ struct PackedTask {
     segments: Vec<PackedSegment>,
     /// Wave-level index of each segment (for the merge).
     seg_indices: Vec<usize>,
+    /// The tile geometry the server resolved for the packed group.
+    geometry: TileGeometry,
     owner: usize,
     device: DeviceConfig,
     interconnect: Interconnect,
@@ -373,8 +378,6 @@ struct PoolPolicy {
     /// Run GPU shard attempts through the ABFT-verified pipeline.
     verify: bool,
     cpu: FusedCpuConfig,
-    /// Tile geometry every GPU shard launches with.
-    geometry: TileGeometry,
 }
 
 /// State shared between the coordinator and the device threads.
@@ -557,7 +560,6 @@ impl DevicePool {
         backend: ServeBackend,
         resilience: &ResilienceConfig,
         cpu: FusedCpuConfig,
-        geometry: TileGeometry,
     ) -> Self {
         assert!(!pool.devices.is_empty(), "pool needs at least one device");
         assert!(
@@ -570,7 +572,6 @@ impl DevicePool {
             cpu_only: matches!(backend, ServeBackend::CpuFused),
             verify: matches!(backend, ServeBackend::GpuResilient) && resilience.verify,
             cpu,
-            geometry,
         };
         let shared = Arc::new(Shared {
             queues: (0..n)
@@ -649,6 +650,7 @@ impl DevicePool {
         plan: &SourcePlan,
         proto: &Query,
         weights: &[Vec<f32>],
+        geometry: &TileGeometry,
         batch_idx: u64,
     ) -> PoolBatch {
         let phases = self.advance_lifecycles();
@@ -691,6 +693,7 @@ impl DevicePool {
                 h: proto.h,
                 weights: Arc::clone(&weights),
                 warm: hit,
+                geometry: *geometry,
                 owner,
                 device: self.devices[owner].device.clone(),
                 interconnect: self.devices[owner].interconnect.clone(),
@@ -774,7 +777,12 @@ impl DevicePool {
     /// launch. Blocks until all sub-launches complete; never fails (a
     /// sick sub-launch recovers its own segments on the bit-exact CPU
     /// path, leaving the rest of the wave intact).
-    pub(crate) fn run_packed(&mut self, segs: &[PackedSegment], batch_idx: u64) -> PackedPoolBatch {
+    pub(crate) fn run_packed(
+        &mut self,
+        segs: &[PackedSegment],
+        geometry: &TileGeometry,
+        batch_idx: u64,
+    ) -> PackedPoolBatch {
         // Place each segment; a segment is "warm" on a device that
         // has already uploaded its corpus — including earlier in this
         // wave, so wave-mates sharing a corpus cluster on one device
@@ -842,6 +850,7 @@ impl DevicePool {
             let item = PoolTask::Packed(PackedTask {
                 segments,
                 seg_indices: members.clone(),
+                geometry: *geometry,
                 owner,
                 device: self.devices[owner].device.clone(),
                 interconnect: self.devices[owner].interconnect.clone(),
@@ -1129,7 +1138,7 @@ fn run_gpu_shard(task: &ShardTask, shared: &Shared) -> ShardOutcome {
             task.h,
             &task.weights,
             task.warm,
-            &policy.geometry,
+            &task.geometry,
         )
         .map(|(r, p, v)| (r, p, Some(v)))
     } else {
@@ -1140,7 +1149,7 @@ fn run_gpu_shard(task: &ShardTask, shared: &Shared) -> ShardOutcome {
             task.h,
             &task.weights,
             task.warm,
-            &policy.geometry,
+            &task.geometry,
         )
         .map(|(r, p)| (r, p, None))
     };
@@ -1309,8 +1318,7 @@ fn run_packed_task(task: PackedTask, me: usize, stolen: bool, shared: &Shared) {
             f.seed ^= splitmix64(task.batch_idx ^ ((task.slot as u64) << 48) ^ PACKED_POOL_SALT);
         }
         let mut dev = GpuDevice::new(dev_cfg);
-        match packed::execute_gpu_packed(&mut dev, &task.segments, &policy.geometry, policy.verify)
-        {
+        match packed::execute_gpu_packed(&mut dev, &task.segments, &task.geometry, policy.verify) {
             Ok(out) => {
                 let injected = injected_data_faults(&out.profile);
                 let mut prof = out.profile;
@@ -1517,6 +1525,7 @@ mod tests {
             h: 1.0,
             weights: Arc::clone(&weights),
             warm,
+            geometry: TileGeometry::paper_default(),
             owner: 0,
             device: DeviceConfig::gtx970(),
             interconnect: Interconnect::pcie3_x16(),

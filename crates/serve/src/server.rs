@@ -389,6 +389,10 @@ impl Default for ServeConfig {
 /// `attempts == batches + retries`: every batch makes exactly one
 /// first attempt and each extra attempt — GPU retry, rung
 /// degradation, or CPU fallback — counts one retry.
+///
+/// The worker thread builds the report as it serves; shutdown adds the
+/// submission-side fields (`submitted`, `accepted`, `rejected`,
+/// `queue_high_water`).
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Queries offered to [`Server::submit`].
@@ -574,37 +578,22 @@ struct Gate {
     resumed: Condvar,
 }
 
-/// Counters the worker owns; merged into the report at shutdown.
-#[derive(Default)]
-struct WorkerStats {
-    completed: u64,
-    expired: u64,
-    expired_in_batch: u64,
-    shed: u64,
-    backoff_shortcircuits: u64,
-    failed: u64,
-    fallbacks: u64,
-    batches: u64,
-    batched_queries: u64,
-    attempts: u64,
-    retries: u64,
-    launches: u64,
-    packed_launches: u64,
-    packed_segments: u64,
-    degraded_completions: u64,
-    corruption_detected: u64,
-    injected_faults: u64,
-    undetected_injected: u64,
-    breaker_trips: u64,
-    breaker_resets: u64,
-    internal_errors: u64,
-    plan_cache: PlanCacheStats,
-    static_admission: AdmissionStats,
-    geometry: GeometryStats,
-    energy_j: f64,
-    energy_downshifts: u64,
-    profiles: Vec<PipelineProfile>,
-    pool: Option<PoolReport>,
+impl Gate {
+    fn set(&self, paused: bool) {
+        *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = paused;
+        self.resumed.notify_all();
+    }
+
+    /// Blocks while the gate is closed.
+    fn wait_open(&self) {
+        let mut paused = self.paused.lock().unwrap_or_else(PoisonError::into_inner);
+        while *paused {
+            paused = self
+                .resumed
+                .wait(paused)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -684,7 +673,7 @@ impl Breaker {
 pub struct Server {
     queue: Arc<BoundedQueue<(Query, Ticket)>>,
     gate: Arc<Gate>,
-    worker: Option<JoinHandle<WorkerStats>>,
+    worker: Option<JoinHandle<ServeReport>>,
     /// One clone per accepted query, so a panicked worker's in-flight
     /// queries can still be drained with an explicit error at
     /// shutdown (fulfilment is first-write-wins, so completed tickets
@@ -804,14 +793,20 @@ impl Server {
         }
     }
 
+    /// Closes the gate: the worker finishes the wave it is serving,
+    /// then serves nothing until [`Server::resume`] (it may already
+    /// hold the next wave's first query, taken off the queue but not
+    /// drained with the rest). Queries submitted in between batch
+    /// exactly as under [`ServeConfig::start_paused`] — by submit
+    /// order alone — so a later pass of a multi-pass run is as
+    /// deterministic as the first.
+    pub fn pause(&self) {
+        self.gate.set(true);
+    }
+
     /// Opens the gate of a paused server; the worker starts draining.
     pub fn resume(&self) {
-        *self
-            .gate
-            .paused
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = false;
-        self.gate.resumed.notify_all();
+        self.gate.set(false);
     }
 
     /// Closes the queue, drains the backlog, joins the worker and
@@ -836,9 +831,9 @@ impl Server {
                 for t in &self.outstanding {
                     t.fulfil(Err(ServeError::Internal("worker thread panicked")));
                 }
-                WorkerStats {
+                ServeReport {
                     internal_errors: 1,
-                    ..WorkerStats::default()
+                    ..ServeReport::default()
                 }
             }
         };
@@ -846,35 +841,8 @@ impl Server {
             submitted: self.submitted,
             accepted: self.accepted,
             rejected: self.rejected,
-            completed: w.completed,
-            expired: w.expired,
-            expired_in_batch: w.expired_in_batch,
-            shed: w.shed,
-            backoff_shortcircuits: w.backoff_shortcircuits,
-            failed: w.failed,
-            fallbacks: w.fallbacks,
-            batches: w.batches,
-            batched_queries: w.batched_queries,
-            attempts: w.attempts,
-            retries: w.retries,
-            launches: w.launches,
-            packed_launches: w.packed_launches,
-            packed_segments: w.packed_segments,
-            degraded_completions: w.degraded_completions,
-            corruption_detected: w.corruption_detected,
-            injected_faults: w.injected_faults,
-            undetected_injected: w.undetected_injected,
-            breaker_trips: w.breaker_trips,
-            breaker_resets: w.breaker_resets,
-            internal_errors: w.internal_errors,
-            plan_cache: w.plan_cache,
-            static_admission: w.static_admission,
-            geometry: w.geometry,
-            energy_j: w.energy_j,
-            energy_downshifts: w.energy_downshifts,
             queue_high_water: self.queue.high_water(),
-            profiles: w.profiles,
-            pool: w.pool,
+            ..w
         }
     }
 
@@ -899,8 +867,8 @@ fn worker_loop(
     cfg: &ServeConfig,
     queue: &BoundedQueue<(Query, Ticket)>,
     gate: &Gate,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
+) -> ServeReport {
+    let mut stats = ServeReport::default();
     let mut cache = PlanCache::new(cfg.plan_cache_capacity.max(1));
     let mut breaker = Breaker::new(&cfg.resilience);
     let mut injected = 0u64;
@@ -911,22 +879,18 @@ fn worker_loop(
     let mut pool = cfg
         .pool
         .as_ref()
-        .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu, cfg.geometry));
+        .map(|p| DevicePool::start(p, cfg.backend, &cfg.resilience, cfg.cpu));
     loop {
-        {
-            let mut paused = gate.paused.lock().unwrap_or_else(PoisonError::into_inner);
-            while *paused {
-                paused = gate
-                    .resumed
-                    .wait(paused)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        gate.wait_open();
         // One wave: block for the first query, then opportunistically
-        // drain up to `wave` total so concurrent arrivals coalesce.
+        // drain up to `wave` total so concurrent arrivals coalesce. A
+        // pause that began while the worker blocked here holds the
+        // drain until resume, so a wave submitted under `pause()`
+        // batches by submit order alone.
         let Some(first) = queue.pop_blocking() else {
             break;
         };
+        gate.wait_open();
         let mut wave = vec![first];
         while wave.len() < cfg.wave {
             match queue.try_pop() {
@@ -1012,7 +976,7 @@ fn uses_gpu(cfg: &ServeConfig, pool: &Option<DevicePool>) -> bool {
 /// their deadline are left for the dequeue check so they count as
 /// `expired`, not `shed`; and with no measurement yet (`avg == 0`)
 /// nothing sheds.
-fn brownout_shed(chunks: &mut [Vec<(Query, Ticket)>], avg_chunk_s: f64, stats: &mut WorkerStats) {
+fn brownout_shed(chunks: &mut [Vec<(Query, Ticket)>], avg_chunk_s: f64, stats: &mut ServeReport) {
     if avg_chunk_s <= 0.0 {
         return;
     }
@@ -1046,7 +1010,7 @@ fn serve_wave(
     pool: &mut Option<DevicePool>,
     breaker: &mut Breaker,
     injected: &mut u64,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) {
     if !cfg.pack || !uses_gpu(cfg, pool) {
         for chunk in chunks {
@@ -1102,7 +1066,7 @@ fn prepare_chunk(
     chunk: Vec<(Query, Ticket)>,
     cache: &mut PlanCache,
     pool: &Option<DevicePool>,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) -> Option<PreparedChunk> {
     // Deadline check at dequeue time: expired queries never reach the
     // solver (and never count as a batch column).
@@ -1164,7 +1128,7 @@ fn run_prepared(
     pool: &mut Option<DevicePool>,
     breaker: &mut Breaker,
     injected: &mut u64,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
     tainted: bool,
 ) {
     let PreparedChunk {
@@ -1219,7 +1183,7 @@ fn run_prepared(
 /// Energy accounting: every profile added since `profiles_before`
 /// (all rungs, all shards) through the energy model over exact
 /// counters.
-fn charge_energy(stats: &mut WorkerStats, profiles_before: usize) {
+fn charge_energy(stats: &mut ServeReport, profiles_before: usize) {
     let params = EnergyParams::default();
     for p in &stats.profiles[profiles_before..] {
         stats.energy_j += pipeline_energy(&params, p).total_j();
@@ -1227,7 +1191,7 @@ fn charge_energy(stats: &mut WorkerStats, profiles_before: usize) {
 }
 
 /// Appends a completed GPU profile, counting its kernel launches.
-fn note_profile(stats: &mut WorkerStats, prof: PipelineProfile) {
+fn note_profile(stats: &mut ServeReport, prof: PipelineProfile) {
     stats.launches += prof.kernels.len() as u64;
     stats.profiles.push(prof);
 }
@@ -1238,7 +1202,7 @@ fn finish_chunk(
     cfg: &ServeConfig,
     live: &[(Query, Ticket)],
     outcome: Result<(Vec<Vec<f32>>, bool), ServeError>,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) {
     if let Some(delay) = cfg.batch_delay {
         std::thread::sleep(delay);
@@ -1295,7 +1259,7 @@ fn run_packed_group(
     pool: &mut Option<DevicePool>,
     breaker: &mut Breaker,
     injected: &mut u64,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) {
     debug_assert!(preps.len() >= 2, "planner never packs singletons");
     let geo = preps[0].geo;
@@ -1317,7 +1281,7 @@ fn run_packed_group(
     if let Some(pool) = pool.as_mut() {
         stats.attempts += preps.len() as u64;
         let profiles_before = stats.profiles.len();
-        let out = pool.run_packed(&segs, stats.batches);
+        let out = pool.run_packed(&segs, &geo, stats.batches);
         stats.packed_launches += out.packed_launches;
         stats.packed_segments += out.packed_segments;
         stats.corruption_detected += out.corruption_detected;
@@ -1457,7 +1421,7 @@ fn resolve_geometry(
     plan: &SourcePlan,
     proto: &Query,
     r: usize,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
 ) -> TileGeometry {
     let (m, k) = plan.dims();
     let n = proto.targets.len();
@@ -1499,7 +1463,7 @@ fn run_batch(
     pool: &mut Option<DevicePool>,
     breaker: &mut Breaker,
     injected: &mut u64,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
     tainted: bool,
     deadline_max: Option<Instant>,
 ) -> Result<(Vec<Vec<f32>>, bool), ServeError> {
@@ -1510,7 +1474,7 @@ fn run_batch(
     if let Some(pool) = pool {
         let _ = (hit, breaker, injected);
         stats.attempts += 1;
-        let out = pool.run_batch(plan, proto, weights, stats.batches);
+        let out = pool.run_batch(plan, proto, weights, geo, stats.batches);
         stats.corruption_detected += out.corruption_detected;
         stats.injected_faults += out.injected_faults;
         stats.undetected_injected += out.undetected_shards;
@@ -1652,7 +1616,7 @@ fn run_batch_resilient(
     geo: &TileGeometry,
     breaker: &mut Breaker,
     injected: &mut u64,
-    stats: &mut WorkerStats,
+    stats: &mut ServeReport,
     tainted: bool,
     deadline_max: Option<Instant>,
 ) -> Result<(Vec<Vec<f32>>, bool), ServeError> {
@@ -1663,7 +1627,7 @@ fn run_batch_resilient(
     // the ladder as if corruption was already seen: the unverified
     // middle rung stays off the table.
     let mut corruption_seen = tainted;
-    let note_attempt = |stats: &mut WorkerStats, attempt_no: &mut u32| {
+    let note_attempt = |stats: &mut ServeReport, attempt_no: &mut u32| {
         stats.attempts += 1;
         if *attempt_no > 0 {
             stats.retries += 1;
@@ -1820,6 +1784,63 @@ mod tests {
         assert_eq!(report.batches, 1, "one coalesced solve");
         assert_eq!(report.batched_queries, 4);
         assert_eq!(report.plan_cache.misses, 1);
+    }
+
+    /// A pass submitted between `pause()` and `resume()` to a worker
+    /// already blocked on an empty queue batches exactly like the same
+    /// pass on a `start_paused` server: the worker takes the first
+    /// query, then holds the drain until resume.
+    #[test]
+    fn pause_batches_a_later_pass_like_start_paused() {
+        let sources = SourceSet::new(PointSet::uniform_cube(32, 4, 7));
+        let targets = Arc::new(PointSet::uniform_cube(16, 4, 8));
+        let pass: Vec<Query> = (0..8).map(|i| query(&sources, &targets, 20 + i)).collect();
+        // A pause after the first submit gives a worker that ignored
+        // the gate time to take that query alone.
+        let submit_all = |srv: &mut Server| -> Vec<Ticket> {
+            pass.iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    if i == 1 {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    match srv.submit(q.clone()) {
+                        Submit::Accepted(t) => t,
+                        Submit::Rejected(_) => panic!("capacity 64 cannot reject 8"),
+                    }
+                })
+                .collect()
+        };
+        let cfg = ServeConfig {
+            wave: 8,
+            ..cpu_config()
+        };
+
+        let mut paused = Server::start(ServeConfig {
+            start_paused: true,
+            ..cfg.clone()
+        });
+        let tickets = submit_all(&mut paused);
+        paused.resume();
+        tickets.iter().for_each(|t| assert!(t.wait().is_ok()));
+        let want = paused.shutdown();
+        assert_eq!(want.batches, 1, "one coalesced solve");
+
+        // A one-query first pass (one batch) leaves the worker blocked
+        // on the empty queue when the paused pass arrives.
+        let mut srv = Server::start(cfg);
+        match srv.submit(pass[0].clone()) {
+            Submit::Accepted(t) => assert!(t.wait().is_ok()),
+            Submit::Rejected(_) => panic!("empty queue rejected a query"),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        srv.pause();
+        let tickets = submit_all(&mut srv);
+        srv.resume();
+        tickets.iter().for_each(|t| assert!(t.wait().is_ok()));
+        let report = srv.shutdown();
+        assert_eq!(report.batches - 1, want.batches, "paused pass batch count");
+        assert_eq!(report.completed, 9);
     }
 
     #[test]
@@ -2055,7 +2076,7 @@ mod tests {
     fn brownout_sheds_only_doomed_queries_in_later_chunks() {
         let sources = SourceSet::new(PointSet::uniform_cube(16, 3, 61));
         let targets = Arc::new(PointSet::uniform_cube(8, 3, 62));
-        let mut stats = WorkerStats::default();
+        let mut stats = ServeReport::default();
         let now = Instant::now();
         let with_deadline = |seed: u64, d: Option<Instant>| {
             let mut q = query(&sources, &targets, seed);

@@ -13,9 +13,9 @@ use std::sync::Arc;
 use ks_core::plan::SourceSet;
 use ks_core::problem::PointSet;
 use ks_gpu_kernels::TileGeometry;
-use ks_gpu_sim::config::DeviceConfig;
+use ks_gpu_sim::config::{DeviceConfig, Interconnect};
 use ks_serve::{
-    GeometryPick, Query, ServeBackend, ServeConfig, ServeReport, Server, Submit, Ticket,
+    GeometryPick, PoolConfig, Query, ServeBackend, ServeConfig, ServeReport, Server, Submit, Ticket,
 };
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
@@ -141,6 +141,54 @@ fn exhausted_budget_downshifts_and_stays_bit_identical() {
                 x.to_bits(),
                 y.to_bits(),
                 "query {i} row {j}: energy routing changed result bits"
+            );
+        }
+    }
+}
+
+/// Pooled serving launches the geometry the server resolved (and
+/// admitted), not the config default: once the budget is exhausted the
+/// shards run the low-power variant, whose tag names their fused
+/// kernels, and the bits still match unbudgeted pooled serving.
+#[test]
+fn pooled_exhausted_budget_launches_the_low_power_geometry() {
+    let qs = queries(24, 45);
+    let pooled = |budget| ServeConfig {
+        pool: Some(PoolConfig::homogeneous(
+            2,
+            DeviceConfig::gtx970(),
+            Interconnect::pcie3_x16(),
+        )),
+        ..gpu_config(budget)
+    };
+    let (unbudgeted, free) = serve_all(pooled(None), &qs);
+    let (budgeted, capped) = serve_all(pooled(Some(1e-9)), &qs);
+    assert_eq!(capped.completed, 24);
+    assert!(capped.energy_downshifts >= 1);
+    let low = low_power_variant();
+    let tag = format!(
+        "_g{}x{}u{}x{}k{}d{}",
+        low.block_m, low.block_n, low.micro_m, low.micro_n, low.tile_k, low.double_buffer_depth
+    );
+    let tagged = |r: &ServeReport| {
+        r.profiles
+            .iter()
+            .flat_map(|p| &p.kernels)
+            .filter(|k| k.name.starts_with("fused") && k.name.contains(&tag))
+            .count()
+    };
+    assert_eq!(tagged(&free), 0, "unbudgeted serving never downshifts");
+    assert!(
+        tagged(&capped) >= 1,
+        "downshifted pooled batches must launch {tag}"
+    );
+    for (i, (a, b)) in unbudgeted.iter().zip(budgeted.iter()).enumerate() {
+        assert_eq!(a.len(), b.len());
+        for (j, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "query {i} row {j}: pooled energy routing changed result bits"
             );
         }
     }

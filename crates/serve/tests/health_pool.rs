@@ -108,7 +108,9 @@ fn serve_two_phases(
     let a = submit_all(&mut srv, phase_a);
     srv.resume();
     let a: Vec<Vec<f32>> = a.iter().map(|t| t.wait().expect("completes")).collect();
+    srv.pause();
     let b = submit_all(&mut srv, phase_b);
+    srv.resume();
     let b: Vec<Vec<f32>> = b.iter().map(|t| t.wait().expect("completes")).collect();
     (a, b, srv.shutdown())
 }

@@ -23,9 +23,10 @@ fn small_queries() -> Vec<Query> {
     generate_small_queries(&packed_smoke_workload())
 }
 
-/// Serves the stream twice through one server — a cold pass (paused,
-/// so wave composition is deterministic) and a plan-warm pass — and
-/// returns both result sets plus the report.
+/// Serves the stream twice through one server — a cold pass and a
+/// plan-warm pass, each submitted with the worker paused so wave
+/// composition is deterministic — and returns both result sets plus
+/// the report.
 fn serve_two_passes(
     mut cfg: ServeConfig,
     queries: &[Query],
@@ -45,7 +46,9 @@ fn serve_two_passes(
     let cold = submit_all(&mut srv);
     srv.resume();
     let cold: Vec<Vec<f32>> = cold.iter().map(|t| t.wait().expect("completes")).collect();
+    srv.pause();
     let warm = submit_all(&mut srv);
+    srv.resume();
     let warm: Vec<Vec<f32>> = warm.iter().map(|t| t.wait().expect("completes")).collect();
     (cold, warm, srv.shutdown())
 }

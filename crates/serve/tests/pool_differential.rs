@@ -56,7 +56,9 @@ fn pool_queries(seed: u64, count: usize) -> Vec<Query> {
 }
 
 /// Serves the stream twice through one server — a cold pass and a
-/// plan-warm pass — and returns both result sets plus the report.
+/// plan-warm pass, each submitted with the worker paused so batch
+/// composition depends only on submit order — and returns both
+/// result sets plus the report.
 fn serve_two_passes(
     mut cfg: ServeConfig,
     queries: &[Query],
@@ -76,7 +78,9 @@ fn serve_two_passes(
     let cold = submit_all(&mut srv);
     srv.resume();
     let cold: Vec<Vec<f32>> = cold.iter().map(|t| t.wait().expect("completes")).collect();
+    srv.pause();
     let warm = submit_all(&mut srv);
+    srv.resume();
     let warm: Vec<Vec<f32>> = warm.iter().map(|t| t.wait().expect("completes")).collect();
     (cold, warm, srv.shutdown())
 }
